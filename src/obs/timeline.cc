@@ -35,33 +35,37 @@ Timeline BuildLiveTimeline(const AlgorithmResult& result) {
     tl.Sample("live/stage_msgs", static_cast<double>(s + 1), cum_msgs);
   }
 
-  // Shuffle-round ticks: the transmission log in seq order, one round
-  // per K transmissions (every sender fires once per round under both
-  // sync modes). Cumulative bytes in flight plus the per-round burst.
+  // Shuffle-round ticks: round i is every sender's i-th transmission
+  // in that sender's own seq order (its program order; every sender
+  // fires once per round under both sync modes). The global seq order
+  // across senders is a thread race, so it never shapes a round.
+  // Cumulative bytes in flight plus the per-round burst.
   if (!result.shuffle_log.empty() && result.config.num_nodes > 0) {
-    simnet::TransmissionLog log = result.shuffle_log;
-    std::sort(log.begin(), log.end(),
-              [](const simnet::Transmission& a,
-                 const simnet::Transmission& b) { return a.seq < b.seq; });
-    const std::size_t per_round =
-        static_cast<std::size_t>(result.config.num_nodes);
+    std::vector<std::vector<const simnet::Transmission*>> sent(
+        static_cast<std::size_t>(result.config.num_nodes));
+    for (const auto& t : result.shuffle_log) {
+      sent[static_cast<std::size_t>(t.src)].push_back(&t);
+    }
+    std::size_t rounds = 0;
+    for (auto& own : sent) {
+      std::sort(own.begin(), own.end(),
+                [](const simnet::Transmission* a,
+                   const simnet::Transmission* b) { return a->seq < b->seq; });
+      rounds = std::max(rounds, own.size());
+    }
     double cum = 0;
-    double round_bytes = 0;
-    std::size_t round = 0;
     tl.Sample("live/shuffle_bytes/bytes", 0, 0);
-    for (std::size_t i = 0; i < log.size(); ++i) {
-      cum += static_cast<double>(log[i].bytes);
-      round_bytes += static_cast<double>(log[i].bytes);
-      const bool round_end =
-          (i + 1) % per_round == 0 || i + 1 == log.size();
-      if (round_end) {
-        ++round;
-        tl.Sample("live/shuffle_bytes/bytes",
-                  static_cast<double>(round), cum);
-        tl.Sample("live/shuffle_round_bytes/bytes",
-                  static_cast<double>(round), round_bytes);
-        round_bytes = 0;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      double round_bytes = 0;
+      for (const auto& own : sent) {
+        if (round < own.size()) {
+          round_bytes += static_cast<double>(own[round]->bytes);
+        }
       }
+      cum += round_bytes;
+      const auto tick = static_cast<double>(round + 1);
+      tl.Sample("live/shuffle_bytes/bytes", tick, cum);
+      tl.Sample("live/shuffle_round_bytes/bytes", tick, round_bytes);
     }
   }
 

@@ -205,7 +205,9 @@ class Timeline {
 
 // Live run -> timeline, defined in timeline.cc (needs
 // driver/run_result.h). Ticks are logical — stage index and shuffle
-// round — and every value comes from the run's deterministic
+// round (round i = every sender's i-th transmission in that sender's
+// own seq order, never the racy cross-sender interleaving) — and
+// every value comes from the run's deterministic
 // counters (traffic, transmission log, run_metrics), so the series
 // are bitwise reproducible across reruns of the same cached
 // execution:

@@ -171,26 +171,4 @@ double ReplayMakespan(const TransmissionLog& log, const LinkModel& link,
   return 0;
 }
 
-double ParallelLinkBound(const TransmissionLog& log, const LinkModel& link,
-                         int num_nodes, bool full_duplex) {
-  CTS_CHECK_GE(num_nodes, 1);
-  std::vector<double> tx(static_cast<std::size_t>(num_nodes), 0.0);
-  std::vector<double> rx(static_cast<std::size_t>(num_nodes), 0.0);
-  for (const Transmission& t : log) {
-    CTS_CHECK_LT(t.src, num_nodes);
-    tx[static_cast<std::size_t>(t.src)] += link.tx_seconds(t);
-    for (const NodeId d : t.dsts) {
-      CTS_CHECK_LT(d, num_nodes);
-      rx[static_cast<std::size_t>(d)] += link.rx_seconds(t);
-    }
-  }
-  double bound = 0;
-  for (int n = 0; n < num_nodes; ++n) {
-    const double t = tx[static_cast<std::size_t>(n)];
-    const double r = rx[static_cast<std::size_t>(n)];
-    bound = std::max(bound, full_duplex ? std::max(t, r) : t + r);
-  }
-  return bound;
-}
-
 }  // namespace cts::simnet

@@ -74,9 +74,4 @@ double ReplayMakespan(const TransmissionLog& log, const LinkModel& link,
                       int num_nodes, Discipline discipline,
                       ReplayOrder order = ReplayOrder::kLogOrder);
 
-// Lower bound for any parallel schedule: the busiest single link's
-// total occupancy (matches analytics' parallel closed form).
-double ParallelLinkBound(const TransmissionLog& log, const LinkModel& link,
-                         int num_nodes, bool full_duplex);
-
 }  // namespace cts::simnet

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <vector>
 
 #include "common/check.h"
@@ -37,13 +36,12 @@ struct Flow {
   int up_res = -1;
   std::vector<int> down_res;  // deduplicated
 
-  // Fluid inter-rack pipes the flow's stream crosses (core + source
-  // rack uplink, held until the stream tail is done) and the
+  // Finite fluid inter-rack pipes the flow's stream crosses (core +
+  // source rack uplink, held until the stream tail is done) and the
   // destination-rack downlink shares (held until the payload is
   // delivered). The weight is how many concurrent copies of the
-  // stream the pipe carries for this flow: #receivers in the rack, or
-  // 1 under rack-aware multicast. Populated only on the generalized
-  // multi-pipe path (Topology::rack_pipes_finite()).
+  // stream the pipe carries for this flow (Topology::rack_copies).
+  // Empty for rack-local flows and on a non-blocking fabric.
   std::vector<std::pair<int, double>> pipes_stream;
   std::vector<std::pair<int, double>> pipes_payload;
 
@@ -92,32 +90,21 @@ class FlowSim {
     resources_.resize(full_duplex ? 2 * static_cast<std::size_t>(n)
                                   : static_cast<std::size_t>(n));
 
-    // The generalized multi-pipe path exists only when a per-rack pipe
-    // actually constrains; otherwise Reallocate keeps the original
-    // shared-core arithmetic so degenerate replays are bit-for-bit.
-    use_pipes_ = topo.rack_pipes_finite();
-    int core_pipe = -1;
-    int up_base = -1;
-    int down_base = -1;
-    if (use_pipes_) {
-      const int racks = topo.num_racks();
-      if (topo.core_is_finite()) {
-        core_pipe = static_cast<int>(pipe_cap_.size());
-        pipe_cap_.push_back(topo.core_bytes_per_sec);
-      }
-      if (topo.rack_uplink_bytes_per_sec < kInf) {
-        CTS_CHECK_GT(topo.rack_uplink_bytes_per_sec, 0.0);
-        up_base = static_cast<int>(pipe_cap_.size());
-        pipe_cap_.insert(pipe_cap_.end(), static_cast<std::size_t>(racks),
-                         topo.rack_uplink_bytes_per_sec);
-      }
-      if (topo.rack_downlink_bytes_per_sec < kInf) {
-        CTS_CHECK_GT(topo.rack_downlink_bytes_per_sec, 0.0);
-        down_base = static_cast<int>(pipe_cap_.size());
-        pipe_cap_.insert(pipe_cap_.end(), static_cast<std::size_t>(racks),
-                         topo.rack_downlink_bytes_per_sec);
-      }
-    }
+    // Only finite pipes are modelled; each returns its first index in
+    // pipe_cap_, or -1 when the pipe is infinite.
+    const auto add_pipes = [&](double rate, int count) {
+      if (rate == kInf) return -1;
+      CTS_CHECK_GT(rate, 0.0);
+      const int base = static_cast<int>(pipe_cap_.size());
+      pipe_cap_.insert(pipe_cap_.end(), static_cast<std::size_t>(count),
+                       rate);
+      return base;
+    };
+    const int core_pipe = add_pipes(topo.core_bytes_per_sec, 1);
+    const int up_base =
+        add_pipes(topo.rack_uplink_bytes_per_sec, topo.num_racks());
+    const int down_base =
+        add_pipes(topo.rack_downlink_bytes_per_sec, topo.num_racks());
 
     flows_.reserve(log.size());
     for (const auto& t : log) {
@@ -140,25 +127,14 @@ class FlowSim {
       std::sort(f.down_res.begin(), f.down_res.end());
       f.down_res.erase(std::unique(f.down_res.begin(), f.down_res.end()),
                        f.down_res.end());
-      if (use_pipes_ && f.crossing) {
-        const int src_rack = topo.rack_of(t.src);
+      if (f.crossing) {
         if (core_pipe >= 0) f.pipes_stream.push_back({core_pipe, 1.0});
         if (up_base >= 0) {
-          f.pipes_stream.push_back({up_base + src_rack, 1.0});
+          f.pipes_stream.push_back({up_base + topo.rack_of(t.src), 1.0});
         }
         if (down_base >= 0) {
-          // Copies entering each destination rack: one per receiver
-          // there, or one total when the rack switch replicates
-          // (rack-aware multicast).
-          std::map<int, double> copies;
-          for (const NodeId d : t.dsts) {
-            const int r = topo.rack_of(d);
-            if (r != src_rack) copies[r] += 1.0;
-          }
-          for (const auto& [rack, count] : copies) {
-            f.pipes_payload.push_back(
-                {down_base + rack,
-                 topo.rack_aware_multicast ? 1.0 : count});
+          for (const auto& [rack, copies] : topo.rack_copies(t)) {
+            f.pipes_payload.push_back({down_base + rack, copies});
           }
         }
       }
@@ -483,66 +459,22 @@ class FlowSim {
     }
   }
 
-  // Max-min rates: every flow is capped by the access links it still
-  // holds (exclusive, so the cap is the raw link rate); concurrent
-  // cross-rack flows then share the core by progressive filling. A
-  // flow's segment is reset only if its rate actually changes.
+  // Weighted max-min rates over the finite inter-rack pipes (core +
+  // per-rack uplink/downlink), by water-filling: every unfixed flow's
+  // rate rises together; whichever constraint binds first — a flow's
+  // access-link cap (exclusive, so the raw link rate), or a pipe whose
+  // remaining capacity is exhausted by the weights still on it — fixes
+  // the flows it limits at the water level, returns their shares, and
+  // the level keeps rising for the rest. A flow's share of a pipe is
+  // its weight × rate (a multicast entering a rack with w receivers
+  // puts w copies on that rack's downlink), which is exactly where
+  // locality shows up in the planner's price. No step depends on the
+  // flows' log positions, so a replay is bitwise independent of how
+  // the senders' logs interleave. A flow's segment is reset only if
+  // its rate actually changes.
   void Reallocate(double now) {
-    if (use_pipes_) {
-      ReallocatePipes(now);
-      return;
-    }
     struct Entry {
       Flow* f;
-      double cap;
-    };
-    std::vector<Entry> crossing;
-    for (Flow& f : flows_) {
-      if (!f.admitted || f.done) continue;
-      double cap = topo_.access_bytes_per_sec;
-      // Released downlinks no longer constrain the stream tail; the
-      // uplink always does. With a uniform access rate the min is the
-      // access rate either way.
-      if (f.crossing && topo_.core_is_finite()) {
-        crossing.push_back({&f, cap});
-      } else {
-        SetRate(f, cap, now);
-      }
-    }
-    if (crossing.empty()) return;
-    ++maxmin_recomputations_;
-    // Progressive filling of the single shared core pipe: repeatedly
-    // grant the lowest-capped flow min(cap, equal share of what
-    // remains).
-    std::sort(crossing.begin(), crossing.end(),
-              [](const Entry& a, const Entry& b) { return a.cap < b.cap; });
-    double remaining = topo_.core_bytes_per_sec;
-    std::size_t left = crossing.size();
-    for (Entry& e : crossing) {
-      const double level = remaining / static_cast<double>(left);
-      const double r = std::min(e.cap, level);
-      SetRate(*e.f, r, now);
-      remaining -= r;
-      --left;
-    }
-  }
-
-  // Weighted max-min over the inter-rack pipes (core + per-rack
-  // uplink/downlink), by water-filling: every unfixed flow's rate
-  // rises together; whichever constraint binds first — a flow's
-  // access-link cap, or a pipe whose remaining capacity is exhausted
-  // by the weights still on it — fixes the flows it limits at the
-  // water level, returns their shares, and the level keeps rising for
-  // the rest. A flow's share of a pipe is its weight × rate (a
-  // multicast entering a rack with w receivers puts w copies on that
-  // rack's downlink), which is exactly where locality shows up in the
-  // planner's price. Only taken when a rack pipe is finite; the
-  // shared-core path above keeps its original arithmetic so the
-  // infinite-pipe replay stays bit-for-bit.
-  void ReallocatePipes(double now) {
-    struct Entry {
-      Flow* f;
-      double cap;
       bool payload_live;  // downlink shares still held
       bool fixed = false;
       double limit = 0;
@@ -556,13 +488,14 @@ class FlowSim {
         SetRate(f, topo_.access_bytes_per_sec, now);
         continue;
       }
-      entries.push_back({&f, topo_.access_bytes_per_sec, payload_live});
+      entries.push_back({&f, payload_live});
     }
     if (entries.empty()) return;
     ++maxmin_recomputations_;
 
     std::vector<double> rem(pipe_cap_);
     std::vector<double> weight(pipe_cap_.size(), 0.0);
+    std::vector<double> freed(pipe_cap_.size(), 0.0);
     const auto each_pipe = [](const Entry& e, auto&& fn) {
       for (const auto& [p, w] : e.f->pipes_stream) fn(p, w);
       if (e.payload_live) {
@@ -583,7 +516,7 @@ class FlowSim {
       double level = kInf;
       for (Entry& e : entries) {
         if (e.fixed) continue;
-        e.limit = e.cap;
+        e.limit = topo_.access_bytes_per_sec;
         each_pipe(e, [&](int p, double w) {
           (void)w;
           const auto i = static_cast<std::size_t>(p);
@@ -592,16 +525,22 @@ class FlowSim {
         level = std::min(level, e.limit);
       }
       CTS_CHECK_GT(level, 0.0);
+      std::fill(freed.begin(), freed.end(), 0.0);
       for (Entry& e : entries) {
         if (e.fixed || e.limit > level) continue;
         e.fixed = true;
         --unfixed;
         SetRate(*e.f, level, now);
         each_pipe(e, [&](int p, double w) {
-          const auto i = static_cast<std::size_t>(p);
-          rem[i] = std::max(rem[i] - w * level, 0.0);
-          weight[i] -= w;
+          freed[static_cast<std::size_t>(p)] += w;
         });
+      }
+      // Weights are copy counts, so these sums are exact and each pipe
+      // gives back its fixed flows' shares in one order-free step.
+      for (std::size_t i = 0; i < rem.size(); ++i) {
+        if (freed[i] == 0) continue;
+        rem[i] = std::max(rem[i] - freed[i] * level, 0.0);
+        weight[i] -= freed[i];
       }
     }
   }
@@ -622,8 +561,7 @@ class FlowSim {
   OrderingHook* const hook_;
   std::vector<std::size_t> tie_;     // reused decision-batch buffer
   std::vector<std::size_t> chosen_;  // hook-returned order buffer
-  bool use_pipes_ = false;
-  std::vector<double> pipe_cap_;  // core, then per-rack up, then down
+  std::vector<double> pipe_cap_;  // finite core, per-rack up, per-rack down
   bool outage_hit_ = false;
   std::uint64_t admissions_ = 0;
   std::uint64_t requeued_ = 0;
@@ -675,23 +613,12 @@ double SerialNetMakespan(const simnet::TransmissionLog& log,
     if (topo.crosses_core(t)) {
       rate = std::min(rate, topo.core_bytes_per_sec);
       // A lone transmission still squeezes through the rack pipes: the
-      // source rack's uplink once, the heaviest destination rack's
-      // downlink at one copy per receiver there (one total when the
-      // rack switch replicates). min against infinity is the identity,
-      // so pipe-free topologies keep the original arithmetic.
+      // source rack's uplink once, each destination rack's downlink at
+      // its copy count. min against infinity is the identity, so
+      // pipe-free topologies keep the core-only arithmetic.
       rate = std::min(rate, topo.rack_uplink_bytes_per_sec);
-      if (topo.rack_downlink_bytes_per_sec < kInf) {
-        const int src_rack = topo.rack_of(t.src);
-        std::map<int, double> copies;
-        for (const NodeId d : t.dsts) {
-          const int r = topo.rack_of(d);
-          if (r != src_rack) copies[r] += 1.0;
-        }
-        for (const auto& [rack, count] : copies) {
-          (void)rack;
-          const double w = topo.rack_aware_multicast ? 1.0 : count;
-          rate = std::min(rate, topo.rack_downlink_bytes_per_sec / w);
-        }
+      for (const auto& [rack, copies] : topo.rack_copies(t)) {
+        rate = std::min(rate, topo.rack_downlink_bytes_per_sec / copies);
       }
     }
     CTS_CHECK_GT(rate, 0.0);
@@ -756,11 +683,16 @@ void PublishReplayMetrics(const NetReplayStats& stats) {
   started.add(stats.flows_started);
   requeued.add(stats.flows_requeued);
   recomputations.add(stats.maxmin_recomputations);
-  for (std::size_t i = 0; i < stats.flow_end.size(); ++i) {
+  // Ascending order, so the histogram's floating-point sum does not
+  // depend on where each flow sits in the log.
+  std::vector<double> micros(stats.flow_end.size());
+  for (std::size_t i = 0; i < micros.size(); ++i) {
     const double start =
         i < stats.flow_start.size() ? stats.flow_start[i] : 0.0;
-    service.record((stats.flow_end[i] - start) * 1e6);
+    micros[i] = (stats.flow_end[i] - start) * 1e6;
   }
+  std::sort(micros.begin(), micros.end());
+  for (const double us : micros) service.record(us);
 }
 
 }  // namespace

@@ -10,11 +10,14 @@
 //     provably the same schedule simnet's list scheduler produces;
 //     under kPerSender only each sender's program order constrains,
 //     with ties broken by sender id exactly as simnet does.
-//   * The core is a fluid shared resource: all concurrently active
-//     cross-rack flows share its capacity by progressive-filling
-//     max-min (each flow additionally capped by its access links),
-//     recomputed at every flow arrival/departure — the simgrid-style
-//     bandwidth-sharing step.
+//   * The inter-rack pipes are fluid shared resources: the core and
+//     each rack's uplink/downlink, whichever are finite, are shared by
+//     the concurrently active cross-rack flows crossing them through
+//     one weighted water-filling max-min (each flow additionally capped
+//     by its access links), recomputed at every flow arrival/departure
+//     — the simgrid-style bandwidth-sharing step. Flows held by the
+//     same bottleneck get bitwise-equal rates, so a kPerSender replay
+//     does not depend on how the senders' logs interleave.
 //
 // A multicast transmission is a flow whose sender streams
 // bytes × (1 + coeff·log2(fanout)) — the application-layer multicast
@@ -94,7 +97,7 @@ struct NetReplayStats {
   double delivered_payload_bytes = 0;
   // DES accounting, mirrored into the obs::MetricRegistry by
   // NetMakespan: admissions (initial + re-admissions after an
-  // outage), outage re-queues, and max-min core-share recomputations.
+  // outage), outage re-queues, and max-min pipe-share recomputations.
   std::uint64_t flows_started = 0;
   std::uint64_t flows_requeued = 0;
   std::uint64_t maxmin_recomputations = 0;

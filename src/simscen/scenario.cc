@@ -118,28 +118,33 @@ double Topology::multicast_penalty(const simnet::Transmission& t) const {
              : 1.0;
 }
 
+std::vector<std::pair<int, double>> Topology::rack_copies(
+    const simnet::Transmission& t) const {
+  const int src_rack = rack_of(t.src);
+  std::vector<int> racks;
+  for (const NodeId d : t.dsts) {
+    const int r = rack_of(d);
+    if (r != src_rack) racks.push_back(r);
+  }
+  std::sort(racks.begin(), racks.end());
+  std::vector<std::pair<int, double>> copies;
+  for (const int r : racks) {
+    if (copies.empty() || copies.back().first != r) {
+      copies.push_back({r, 1.0});
+    } else if (!rack_aware_multicast) {
+      copies.back().second += 1.0;
+    }
+  }
+  return copies;
+}
+
 double CrossRackBytes(const simnet::TransmissionLog& log,
                       const Topology& topology) {
   double total = 0;
   for (const auto& t : log) {
-    const int src_rack = topology.rack_of(t.src);
-    if (topology.rack_aware_multicast) {
-      std::vector<int> racks;
-      for (const NodeId d : t.dsts) {
-        const int r = topology.rack_of(d);
-        if (r != src_rack) racks.push_back(r);
-      }
-      std::sort(racks.begin(), racks.end());
-      racks.erase(std::unique(racks.begin(), racks.end()), racks.end());
-      total += static_cast<double>(t.bytes) *
-               static_cast<double>(racks.size());
-    } else {
-      std::size_t copies = 0;
-      for (const NodeId d : t.dsts) {
-        if (topology.rack_of(d) != src_rack) ++copies;
-      }
-      total += static_cast<double>(t.bytes) * static_cast<double>(copies);
-    }
+    double copies = 0;
+    for (const auto& [rack, n] : topology.rack_copies(t)) copies += n;
+    total += static_cast<double>(t.bytes) * copies;
   }
   return total;
 }

@@ -10,13 +10,14 @@
 //   * ClusterProfile — per-node compute-speed multipliers plus a
 //     pluggable straggler model (deterministic slow node,
 //     shifted-exponential per-stage factors, fail-stop outage);
-//   * Topology — racks with per-node access links and an
-//     oversubscribed core shared max-min among concurrent cross-rack
-//     flows (simscen/netsim.h).
+//   * Topology — racks with per-node access links, per-rack uplink and
+//     downlink pipes and an oversubscribed core, the pipes shared
+//     max-min among concurrent cross-rack flows (simscen/netsim.h).
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -88,9 +89,10 @@ struct ClusterProfile {
 // finite uplink pipe (traffic leaving the rack) and downlink pipe
 // (traffic entering it), and racks interconnect through one core pipe
 // of `core_bytes_per_sec` that every cross-rack flow traverses. All
-// three inter-rack pipes are fluid resources shared max-min among the
-// flows crossing them; each defaults to infinity, and with all of them
-// infinite the fabric is non-blocking and the replay degenerates to
+// three inter-rack pipes are fluid resources shared by weighted max-min
+// among the flows crossing them; an infinite pipe constrains nothing.
+// Each defaults to infinity, and with all of them infinite the fabric
+// is non-blocking and the replay degenerates to
 // simnet::ReplayMakespan's per-node-link model.
 struct Topology {
   int num_nodes = 0;
@@ -100,9 +102,8 @@ struct Topology {
   double access_bytes_per_sec = kPaperLinkBytesPerSec * kTcpEfficiency;
   double core_bytes_per_sec = std::numeric_limits<double>::infinity();
   // Per-rack switch-to-core pipes, shared by every flow leaving
-  // (uplink) or entering (downlink) the rack. Infinite = the
-  // pre-rack-pipe model where only the core constrains cross-rack
-  // traffic.
+  // (uplink) or entering (downlink) the rack. Infinite = only the core
+  // constrains cross-rack traffic.
   double rack_uplink_bytes_per_sec = std::numeric_limits<double>::infinity();
   double rack_downlink_bytes_per_sec =
       std::numeric_limits<double>::infinity();
@@ -151,17 +152,17 @@ struct Topology {
   // replays stay bit-stable.
   double multicast_penalty(const simnet::Transmission& t) const;
 
+  // Copies of `t`'s payload entering each rack other than the
+  // sender's, as (rack, copies) in ascending rack order: one per
+  // receiver in that rack, or one under rack_aware_multicast. Empty
+  // for a rack-local transmission. This is the load a transmission
+  // puts on each destination rack's downlink pipe, and the inter-rack
+  // egress CrossRackBytes bills.
+  std::vector<std::pair<int, double>> rack_copies(
+      const simnet::Transmission& t) const;
+
   bool core_is_finite() const {
     return core_bytes_per_sec < std::numeric_limits<double>::infinity();
-  }
-  // True if either per-rack pipe constrains (the flow DES only takes
-  // its generalized multi-pipe path when this is set, keeping the
-  // shared-core arithmetic bit-for-bit otherwise).
-  bool rack_pipes_finite() const {
-    return rack_uplink_bytes_per_sec <
-               std::numeric_limits<double>::infinity() ||
-           rack_downlink_bytes_per_sec <
-               std::numeric_limits<double>::infinity();
   }
 };
 

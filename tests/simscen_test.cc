@@ -352,8 +352,9 @@ TEST(NetMakespanProperty, ConservesBytesAndIsMonotoneInLinkRates) {
   }
 }
 
-// ---- Per-rack uplink/downlink pipes (the generalized multi-pipe
-// ---- water-filling path) ----
+// ---- Per-rack uplink/downlink pipes ----
+
+constexpr double kInfRate = std::numeric_limits<double>::infinity();
 
 Topology RandomRackPipeTopology(Xoshiro256& rng, int n) {
   Topology t = RandomTopology(rng, n);
@@ -366,7 +367,8 @@ Topology RandomRackPipeTopology(Xoshiro256& rng, int n) {
   if (rng.below(4) != 0) {
     t.rack_downlink_bytes_per_sec = 0.4 + 4.0 * rng.uniform();
   }
-  if (!t.rack_pipes_finite()) {
+  if (t.rack_uplink_bytes_per_sec == kInfRate &&
+      t.rack_downlink_bytes_per_sec == kInfRate) {
     t.rack_downlink_bytes_per_sec = 0.4 + 4.0 * rng.uniform();
   }
   if (rng.below(2) == 0) t.rack_aware_multicast = true;
@@ -430,9 +432,9 @@ TEST(RackPipeProperty, ConservesBytesAndIsMonotoneInPipeRates) {
 
 TEST(RackPipeProperty, InfinitePipesAreBitForBitTheSharedCorePath) {
   // Explicitly-infinite rack pipes must not change a single bit of the
-  // shared-core replay (rack_pipes_finite() gates the generalized
-  // path off), and effectively-unconstrained *finite* pipes — which do
-  // run the water-filling arithmetic — must land within 1e-9.
+  // core-only replay (an infinite pipe is never put on a flow's pipe
+  // list), and effectively-unconstrained *finite* pipes — which do
+  // enter the water-filling — must land within 1e-9.
   Xoshiro256 rng(20260809);
   for (int trial = 0; trial < 100; ++trial) {
     const int n = 2 + static_cast<int>(rng.below(7));
@@ -482,8 +484,6 @@ Topology TwoRackPipes(double up, double down) {
   t.rack_downlink_bytes_per_sec = down;
   return t;
 }
-
-constexpr double kInfRate = std::numeric_limits<double>::infinity();
 
 TEST(RackPipes, UplinkIsSharedByFlowsLeavingTheRack) {
   const Topology topo = TwoRackPipes(/*up=*/0.5, /*down=*/kInfRate);
@@ -1058,6 +1058,81 @@ TEST(NetMakespan, HookReceivesOutageRequeueDecisions) {
   ASSERT_EQ(hook.requeue_widths.size(), 1u);
   EXPECT_EQ(hook.requeue_widths.front(), 2u);
   EXPECT_EQ(stats.delivered_payload_bytes, 2000.0);
+}
+
+// Another interleaving of `log` that keeps every sender's seq order: a
+// seeded random merge of the per-sender queues, with seq renumbered to
+// the new global order (what a different thread race would have
+// recorded). origin[i] is the position in `log` of new entry i.
+TransmissionLog Reinterleave(const TransmissionLog& log, int num_nodes,
+                             std::uint64_t seed,
+                             std::vector<std::size_t>* origin) {
+  std::vector<std::vector<std::size_t>> queues(
+      static_cast<std::size_t>(num_nodes));
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    queues[static_cast<std::size_t>(log[i].src)].push_back(i);
+  }
+  for (auto& q : queues) {
+    std::sort(q.begin(), q.end(), [&](std::size_t a, std::size_t b) {
+      return log[a].seq < log[b].seq;
+    });
+    std::reverse(q.begin(), q.end());  // pop_back yields seq order
+  }
+  Xoshiro256 rng(seed);
+  TransmissionLog out;
+  origin->clear();
+  while (out.size() < log.size()) {
+    const auto n = static_cast<std::size_t>(
+        rng.below(static_cast<std::uint64_t>(num_nodes)));
+    if (queues[n].empty()) continue;
+    origin->push_back(queues[n].back());
+    queues[n].pop_back();
+    out.push_back(log[origin->back()]);
+    out.back().seq = out.size() - 1;
+  }
+  return out;
+}
+
+TEST(NetMakespan, PerSenderReplayIgnoresLogInterleaving) {
+  // The global seq order of a live log is a thread race; only each
+  // sender's own order is program order. A kPerSender replay must
+  // therefore price any interleaving that keeps the per-sender orders
+  // bitwise identically — makespan, every transmission's completion
+  // time, and the number of max-min recomputations — on a shared core
+  // and with finite rack pipes alike.
+  SortConfig config;
+  config.num_nodes = 8;
+  config.redundancy = 3;
+  config.num_records = 40000;  // uniform keys: unequal packet sizes
+  const TransmissionLog log = RunCodedTeraSort(config).shuffle_log;
+  ASSERT_FALSE(log.empty());
+  std::vector<std::size_t> origin;
+  const TransmissionLog other =
+      Reinterleave(log, config.num_nodes, 20261017, &origin);
+  ASSERT_FALSE(std::is_sorted(origin.begin(), origin.end()))
+      << "the reinterleaving must actually move entries";
+
+  for (const Topology& topo :
+       {Topology::Oversubscribed(8, 2, 4.0),
+        Topology::RackOversubscribed(8, 2, 4.0, 2.0, 3.0)}) {
+    for (const Discipline d : {Discipline::kParallelHalfDuplex,
+                               Discipline::kParallelFullDuplex}) {
+      NetReplayStats a;
+      NetReplayStats b;
+      const double ma =
+          NetMakespan(log, topo, d, ReplayOrder::kPerSender, {}, &a);
+      const double mb =
+          NetMakespan(other, topo, d, ReplayOrder::kPerSender, {}, &b);
+      EXPECT_EQ(ma, mb);
+      EXPECT_EQ(a.maxmin_recomputations, b.maxmin_recomputations);
+      ASSERT_EQ(b.flow_end.size(), origin.size());
+      std::size_t mismatched = 0;
+      for (std::size_t i = 0; i < origin.size(); ++i) {
+        if (b.flow_end[i] != a.flow_end[origin[i]]) ++mismatched;
+      }
+      EXPECT_EQ(mismatched, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/run_result.h"
 #include "job/job.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -108,6 +109,46 @@ TEST(Timeline, LiveSeriesReproduceBitwise) {
   EXPECT_TRUE(first.timeline.series().count("live/stage_bytes/bytes"));
   EXPECT_TRUE(first.timeline.series().count("live/shuffle_bytes/bytes"));
   EXPECT_TRUE(first.timeline.series().count("live/stripe_contention"));
+}
+
+// Shuffle rounds come from each sender's own seq order, never from
+// the racy global interleaving: two logs that differ only in how the
+// senders' transmissions interleave give bitwise-equal round series.
+TEST(Timeline, LiveShuffleRoundsIgnoreSenderInterleaving) {
+  AlgorithmResult by_sender;
+  by_sender.config = SmallConfig();
+  by_sender.config.num_nodes = 3;
+  AlgorithmResult round_robin = by_sender;
+  // Sender s's i-th transmission carries 10^s * (i + 1) bytes.
+  const std::uint64_t scale[] = {1, 10, 100};
+  std::uint64_t seq = 0;
+  for (NodeId s = 0; s < 3; ++s) {
+    for (std::uint64_t i = 0; i < 2; ++i) {
+      by_sender.shuffle_log.push_back(
+          {s, {(s + 1) % 3}, scale[s] * (i + 1), seq++});
+    }
+  }
+  seq = 0;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    for (NodeId s = 0; s < 3; ++s) {
+      round_robin.shuffle_log.push_back(
+          {s, {(s + 1) % 3}, scale[s] * (i + 1), seq++});
+    }
+  }
+
+  const Timeline a = BuildLiveTimeline(by_sender);
+  const Timeline b = BuildLiveTimeline(round_robin);
+  for (const char* key :
+       {"live/shuffle_bytes/bytes", "live/shuffle_round_bytes/bytes"}) {
+    EXPECT_EQ(a.SeriesDigest(key), b.SeriesDigest(key)) << key;
+  }
+  // One tick per round plus the zero tick; round i = every sender's
+  // i-th transmission.
+  const auto& rounds = a.series().at("live/shuffle_round_bytes/bytes");
+  ASSERT_EQ(rounds.size(), 2u);
+  EXPECT_EQ(rounds[0].value, 111.0);
+  EXPECT_EQ(rounds[1].value, 222.0);
+  EXPECT_EQ(a.series().at("live/shuffle_bytes/bytes").size(), 3u);
 }
 
 // The DES series are a pure function of (run, scenario): replaying on
