@@ -16,6 +16,7 @@
 #include "keyvalue/partitioner.h"
 #include "keyvalue/recordio.h"
 #include "keyvalue/teragen.h"
+#include "keyvalue/teravalidate.h"
 #include "simmpi/comm.h"
 #include "simmpi/world.h"
 
@@ -87,7 +88,7 @@ void BM_SortRecords(benchmark::State& state) {
   const auto records = gen.generate(0, 100000);
   for (auto _ : state) {
     auto copy = records;
-    std::sort(copy.begin(), copy.end(), RecordLess);
+    SortRecords(copy);
     benchmark::DoNotOptimize(copy);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -95,6 +96,38 @@ void BM_SortRecords(benchmark::State& state) {
                                                     kRecordBytes));
 }
 BENCHMARK(BM_SortRecords);
+
+void BM_ChecksumOfInput(benchmark::State& state) {
+  const TeraGen gen(42);
+  constexpr std::uint64_t kRecords = 100000;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ChecksumOfInput(gen, kRecords));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRecords * kRecordBytes));
+}
+BENCHMARK(BM_ChecksumOfInput)->UseRealTime();
+
+// A valid 4-way range-partitioned output of 100k records.
+void BM_ValidatePartitions(benchmark::State& state) {
+  const TeraGen gen(42);
+  auto records = gen.generate(0, 100000);
+  const RecordChecksum expected = ChecksumOfRecords(records);
+  const RangePartitioner part(4);
+  std::vector<std::vector<Record>> partitions(4);
+  for (const Record& rec : records) {
+    partitions[static_cast<std::size_t>(part.partition(rec.key))].push_back(
+        rec);
+  }
+  for (auto& p : partitions) SortRecords(p);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ValidatePartitions(partitions, expected));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(records.size() *
+                                                    kRecordBytes));
+}
+BENCHMARK(BM_ValidatePartitions)->UseRealTime();
 
 // Synthetic IV store sized like one multicast group's constituents.
 struct CodecFixture {

@@ -178,7 +178,7 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
 
   // ---- Reduce ----
   stages.run(stage::kReduce, [&] {
-    std::sort(pool.begin(), pool.end(), RecordLess);
+    SortRecords(pool);
     work.reduce_bytes += pool.size() * kRecordBytes;
     for (const Record& rec : pool) {
       CTS_CHECK_MSG(partitioner->partition(rec.key) == self,

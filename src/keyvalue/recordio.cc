@@ -37,6 +37,36 @@ void UnpackRecordsInto(Buffer& in, std::vector<Record>& out) {
   }
 }
 
+void SortRecords(std::span<Record> records) {
+  struct Tag {
+    std::uint64_t prefix;
+    std::size_t index;
+  };
+  std::vector<Tag> tags(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    tags[i] = {KeyPrefix(records[i].key), i};
+  }
+  std::sort(tags.begin(), tags.end(), [&](const Tag& a, const Tag& b) {
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    return RecordLess(records[a.index], records[b.index]);
+  });
+  // Position k takes the record now at tags[k].index. Walk each cycle
+  // once, marking placed positions with tags[k].index = k.
+  for (std::size_t start = 0; start < tags.size(); ++start) {
+    if (tags[start].index == start) continue;
+    const Record held = records[start];
+    std::size_t k = start;
+    while (tags[k].index != start) {
+      const std::size_t from = tags[k].index;
+      records[k] = records[from];
+      tags[k].index = k;
+      k = from;
+    }
+    records[k] = held;
+    tags[k].index = k;
+  }
+}
+
 bool IsSorted(std::span<const Record> records) {
   return std::is_sorted(records.begin(), records.end(), RecordLess);
 }
@@ -46,7 +76,7 @@ bool IsSortedPermutationOf(std::span<const Record> input,
   if (input.size() != sorted.size()) return false;
   if (!IsSorted(sorted)) return false;
   std::vector<Record> expected(input.begin(), input.end());
-  std::sort(expected.begin(), expected.end(), RecordLess);
+  SortRecords(expected);
   return std::equal(expected.begin(), expected.end(), sorted.begin(),
                     sorted.end());
 }

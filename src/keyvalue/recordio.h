@@ -31,6 +31,15 @@ inline std::size_t PackedSize(std::size_t n) {
   return sizeof(std::uint64_t) + n * kRecordBytes;
 }
 
+// Sorts records by RecordLess, in place: the Reduce stage of both
+// TeraSort and CodedTeraSort. Sorts 16-byte (key prefix, index) tags,
+// comparing whole records only when prefixes tie, then moves each
+// record once by following the permutation's cycles, so no second
+// copy of the records is held. Since records equal under RecordLess
+// are byte-identical, the result equals std::sort(..., RecordLess)
+// byte for byte.
+void SortRecords(std::span<Record> records);
+
 // ---- Validation helpers (used by tests and examples) ----
 
 // True iff records are sorted by RecordLess.

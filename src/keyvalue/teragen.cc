@@ -1,6 +1,9 @@
 #include "keyvalue/teragen.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 namespace cts {
 
@@ -11,6 +14,24 @@ namespace {
 std::uint64_t RecordHash(std::uint64_t seed, std::uint64_t index,
                          std::uint64_t lane) {
   return Mix64(seed ^ Mix64(index * 0x9e3779b97f4a7c15ULL + lane));
+}
+
+// The low 32 bits of x, one nibble per byte: nibble j lands in the low
+// half of byte j.
+std::uint64_t SpreadNibbles(std::uint64_t x) {
+  x &= 0xffffffffULL;
+  x = (x | (x << 16)) & 0x0000ffff0000ffffULL;
+  x = (x | (x << 8)) & 0x00ff00ff00ff00ffULL;
+  x = (x | (x << 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return x;
+}
+
+// Byte j of `bytes` is bits 8j..8j+7 of v.
+void StoreLe64(std::uint8_t* bytes, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(bytes, &v, sizeof(v));
 }
 
 }  // namespace
@@ -63,13 +84,16 @@ Record TeraGen::record(std::uint64_t index) const {
     rec.value[static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(index >> (8 * (7 - i)));
   }
-  std::uint64_t vstream = RecordHash(seed_, index, /*lane=*/2);
-  for (std::size_t i = 8; i < kValueBytes; ++i) {
-    if (i % 8 == 0) {
-      vstream = RecordHash(seed_, index, /*lane=*/2 + i / 8);
-    }
-    rec.value[i] = static_cast<std::uint8_t>('A' + (vstream & 0x0f));
-    vstream >>= 4;
+  // Filler block b (value bytes 8b..8b+7, the last one cut to 2 bytes)
+  // is 'A' plus the low 8 nibbles of lane 2 + b, low nibble first.
+  for (std::size_t off = 8; off < kValueBytes; off += 8) {
+    const std::uint64_t block =
+        SpreadNibbles(RecordHash(seed_, index, /*lane=*/2 + off / 8)) +
+        0x4141414141414141ULL;
+    std::uint8_t bytes[8];
+    StoreLe64(bytes, block);
+    std::memcpy(rec.value.data() + off, bytes,
+                std::min<std::size_t>(8, kValueBytes - off));
   }
   return rec;
 }

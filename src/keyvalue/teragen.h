@@ -10,6 +10,16 @@
 //
 // Additional distributions exercise the partitioners and the sort under
 // skew (used by tests and ablation benches, not by the paper's tables).
+//
+// Record layout. With lane hash h(l) = Mix64(seed ^ Mix64(index *
+// 0x9e3779b97f4a7c15 + l)):
+//  * key bytes 0..7: the big-endian prefix the distribution derives
+//    (kUniform and kSkewed from h(0), kFewDistinct from its low byte);
+//  * key bytes 8..9: the low 16 bits of h(1), big-endian;
+//  * value bytes 0..7: the big-endian row id `index`;
+//  * value bytes 8b..8b+7 for b = 1..10, and bytes 88..89 for b = 11:
+//    byte 8b+j is 'A' + nibble j of h(2 + b), low nibble first.
+// The GoldenRecordBytes test (keyvalue_test) pins these bytes.
 #pragma once
 
 #include <cstdint>

@@ -36,7 +36,9 @@ struct RecordChecksum {
 };
 
 // Checksum of TeraGen's records [0, count) — the reference the sorted
-// output must reproduce.
+// output must reproduce. Contiguous index ranges are generated and
+// hashed on up to std::thread::hardware_concurrency() threads; the
+// merge is exact, so the result does not depend on the thread count.
 RecordChecksum ChecksumOfInput(const TeraGen& gen, std::uint64_t count);
 
 // Checksum of an arbitrary record span.
@@ -56,8 +58,14 @@ struct ValidationReport {
 // Validates partitioned sort output:
 //  * every partition is internally sorted,
 //  * partitions are globally ordered (max key of partition k is <= min
-//    key of partition k+1),
-//  * the multiset checksum matches `expected`.
+//    key of partition k+1, skipping empty partitions),
+//  * the record count and the multiset checksum match `expected`.
+// The checks run on up to std::thread::hardware_concurrency() threads,
+// each over a contiguous run of records, and give the serial verdict:
+// an order failure names the lowest (partition, index) violation, with
+// a partition's boundary check (its index 0) before the checks inside
+// it; order is checked before the count, and the count before the
+// checksum.
 ValidationReport ValidatePartitions(
     std::span<const std::vector<Record>> partitions,
     const RecordChecksum& expected);

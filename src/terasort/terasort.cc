@@ -132,7 +132,7 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   stages.run(stage::kReduce, [&] {
     auto& own = hashed[static_cast<std::size_t>(self)];
     pool.insert(pool.end(), own.begin(), own.end());
-    std::sort(pool.begin(), pool.end(), RecordLess);
+    SortRecords(pool);
     work.reduce_bytes += pool.size() * kRecordBytes;
     // Partition-ownership invariant: everything this node reduced must
     // belong to its key range.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -87,6 +88,32 @@ TEST(TeraGen, ValueFillerIsPrintable) {
   for (std::size_t i = 8; i < kValueBytes; ++i) {
     EXPECT_GE(r.value[i], 'A');
     EXPECT_LE(r.value[i], 'A' + 15);
+  }
+}
+
+// Golden bytes: FNV-1a 64 over TeraGen(2017, d).record(i * 7919 + 3)
+// for i < 200000, one value per distribution in enum order. Any change
+// to the key or value layout (teragen.h) changes these.
+TEST(TeraGen, GoldenRecordBytes) {
+  const std::pair<KeyDistribution, std::uint64_t> golden[] = {
+      {KeyDistribution::kUniform, 0xaee3e416e1c104f7ULL},
+      {KeyDistribution::kSorted, 0x6a08d5417bdfc2a2ULL},
+      {KeyDistribution::kReverseSorted, 0xc9062dbb60297936ULL},
+      {KeyDistribution::kSkewed, 0xbfd514dbde5b7535ULL},
+      {KeyDistribution::kFewDistinct, 0xf37c668a3f555ca3ULL},
+      {KeyDistribution::kBalanced, 0x1463cc3ee293ff50ULL},
+  };
+  for (const auto& [dist, expected] : golden) {
+    const TeraGen gen(2017, dist);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint64_t i = 0; i < 200000; ++i) {
+      const Record rec = gen.record(i * 7919 + 3);
+      const auto* bytes = reinterpret_cast<const std::uint8_t*>(&rec);
+      for (std::size_t b = 0; b < kRecordBytes; ++b) {
+        h = (h ^ bytes[b]) * 0x100000001b3ULL;
+      }
+    }
+    EXPECT_EQ(h, expected) << "distribution " << static_cast<int>(dist);
   }
 }
 
@@ -328,6 +355,46 @@ TEST(RecordIO, IsSortedPermutationDetectsReordering) {
   // Tampering with one record breaks the permutation property.
   sorted[0].value[0] ^= 0xff;
   EXPECT_FALSE(IsSortedPermutationOf(recs, sorted));
+}
+
+// SortRecords must reproduce std::sort(..., RecordLess) byte for byte.
+void ExpectSortsLikeStdSort(std::vector<Record> records) {
+  auto expected = records;
+  std::sort(expected.begin(), expected.end(), RecordLess);
+  SortRecords(records);
+  EXPECT_TRUE(records == expected);  // Record == compares all 100 bytes
+}
+
+TEST(SortRecords, MatchesStdSortForEveryDistribution) {
+  for (const KeyDistribution dist :
+       {KeyDistribution::kUniform, KeyDistribution::kSorted,
+        KeyDistribution::kReverseSorted, KeyDistribution::kSkewed,
+        KeyDistribution::kFewDistinct, KeyDistribution::kBalanced}) {
+    SCOPED_TRACE(static_cast<int>(dist));
+    ExpectSortsLikeStdSort(TeraGen(2017, dist).generate(1000, 20000));
+  }
+}
+
+TEST(SortRecords, MatchesStdSortWithDuplicatesAndTinyInputs) {
+  const auto recs = TeraGen(5, KeyDistribution::kFewDistinct).generate(0, 3000);
+  // Every record three times, in three different orders.
+  std::vector<Record> dup = recs;
+  dup.insert(dup.end(), recs.rbegin(), recs.rend());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    dup.push_back(recs[(i * 7) % recs.size()]);
+  }
+  ExpectSortsLikeStdSort(dup);
+  // Same key, values differing only in the last byte.
+  std::vector<Record> ties(100, recs[0]);
+  for (std::size_t i = 0; i < ties.size(); ++i) {
+    ties[i].value[kValueBytes - 1] = static_cast<std::uint8_t>(i * 37);
+  }
+  ExpectSortsLikeStdSort(ties);
+  ExpectSortsLikeStdSort({});
+  ExpectSortsLikeStdSort({recs[0]});
+  ExpectSortsLikeStdSort({recs[1], recs[0]});
+  ExpectSortsLikeStdSort({recs[0], recs[1]});
+  ExpectSortsLikeStdSort({recs[2], recs[2]});
 }
 
 TEST(RecordIO, IsSortedPermutationRejectsSizeMismatch) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "codedterasort/coded_terasort.h"
 #include "keyvalue/teravalidate.h"
@@ -51,6 +54,17 @@ TEST(Checksum, MatchesInputStreamHelper) {
   const TeraGen gen(5);
   EXPECT_EQ(ChecksumOfInput(gen, 256),
             ChecksumOfRecords(gen.generate(0, 256)));
+}
+
+// Golden checksum of the paper workload's input stream: pins
+// HashRecord and TeraGen together, so a kernel change that altered
+// both sides of the validator's comparison still fails here.
+TEST(Checksum, GoldenInputChecksum) {
+  const RecordChecksum sum =
+      ChecksumOfInput(TeraGen(2017, KeyDistribution::kUniform), 100000);
+  EXPECT_EQ(sum.xor_hash, 0xe4a28f8b5fc3ae1aULL);
+  EXPECT_EQ(sum.sum_hash, 0xfe1fffa22b47ef04ULL);
+  EXPECT_EQ(sum.count, 100000u);
 }
 
 TEST(Validate, AcceptsCorrectPartitionedOutput) {
@@ -122,6 +136,107 @@ TEST(Validate, RejectsSubstitutedRecords) {
   const ValidationReport report = ValidatePartitions(partitions, expected);
   EXPECT_FALSE(report.valid);
   EXPECT_NE(report.error.find("checksum"), std::string::npos);
+}
+
+// ---- Large inputs: the checks split over several threads and must
+// return the serial verdict, naming the lowest (partition, index). ----
+
+TEST(Checksum, InputStreamMatchesRecordsAtEverySize) {
+  const TeraGen gen(11);
+  for (const std::uint64_t n : {0ULL, 1ULL, 100003ULL}) {
+    EXPECT_EQ(ChecksumOfInput(gen, n), ChecksumOfRecords(gen.generate(0, n)))
+        << "n=" << n;
+  }
+}
+
+class LargeValidate : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kRecords = 200000;
+
+  void SetUp() override {
+    sorted_ = TeraGen(12).generate(0, kRecords);
+    expected_ = ChecksumOfRecords(sorted_);
+    std::sort(sorted_.begin(), sorted_.end(), RecordLess);
+  }
+
+  // Four equal partitions of the sorted records.
+  std::vector<std::vector<Record>> Quarters() const {
+    std::vector<std::vector<Record>> parts;
+    const std::size_t q = kRecords / 4;
+    for (std::size_t p = 0; p < 4; ++p) {
+      parts.emplace_back(sorted_.begin() + static_cast<std::ptrdiff_t>(p * q),
+                         sorted_.begin() +
+                             static_cast<std::ptrdiff_t>((p + 1) * q));
+    }
+    return parts;
+  }
+
+  std::string Error(const std::vector<std::vector<Record>>& parts) const {
+    const ValidationReport report = ValidatePartitions(parts, expected_);
+    EXPECT_EQ(report.valid, report.error.empty());
+    return report.error;
+  }
+
+  std::vector<Record> sorted_;
+  RecordChecksum expected_;
+};
+
+TEST_F(LargeValidate, AcceptsSortedOutput) {
+  EXPECT_EQ(Error(Quarters()), "");
+}
+
+TEST_F(LargeValidate, ReportsLowestOfTwoInsideViolations) {
+  auto parts = Quarters();
+  std::swap(parts[3][100], parts[3][101]);
+  std::swap(parts[1][30000], parts[1][30001]);
+  EXPECT_EQ(Error(parts), "order violation at partition 1 index 30001");
+}
+
+TEST_F(LargeValidate, ReportsBoundaryViolationAfterEmptyPartition) {
+  auto parts = Quarters();
+  // Partition 2 is empty; partition 3 starts below partition 1's last
+  // record, and is disordered further in too.
+  parts[2].clear();
+  parts[3].insert(parts[3].begin(), parts[1][10]);
+  std::swap(parts[3][40000], parts[3][40001]);
+  EXPECT_EQ(Error(parts), "order violation at partition 3 index 0");
+}
+
+TEST_F(LargeValidate, BoundaryCheckPrecedesInsideCheck) {
+  auto parts = Quarters();
+  std::swap(parts[1].front(), parts[0].back());
+  std::swap(parts[1][5], parts[1][6]);
+  EXPECT_EQ(Error(parts), "order violation at partition 1 index 0");
+}
+
+TEST_F(LargeValidate, EverySplitPointNamesTheSwappedPair) {
+  // Swapping a sorted neighbour pair (j-1, j) makes j the only
+  // violation. Positions N*k/T for T <= 8 cover the thread split points
+  // on any host with up to 8 threads.
+  std::vector<std::size_t> positions;
+  for (std::size_t t = 1; t <= 8; ++t) {
+    for (std::size_t k = 1; k < t; ++k) {
+      const std::size_t split = kRecords * k / t;
+      positions.insert(positions.end(), {split - 1, split, split + 1});
+    }
+  }
+  std::vector<std::vector<Record>> whole = {sorted_};
+  for (const std::size_t j : positions) {
+    std::swap(whole[0][j - 1], whole[0][j]);
+    EXPECT_EQ(Error(whole),
+              "order violation at partition 0 index " + std::to_string(j));
+    std::swap(whole[0][j - 1], whole[0][j]);
+  }
+}
+
+TEST_F(LargeValidate, ReportsCountThenChecksumMismatch) {
+  auto parts = Quarters();
+  parts[2].pop_back();
+  EXPECT_EQ(Error(parts), "record count mismatch: got 199999, expected 200000");
+  parts = Quarters();
+  parts[2][7].value[20] ^= 1;
+  EXPECT_EQ(Error(parts),
+            "checksum mismatch: output is not a permutation of the input");
 }
 
 TEST(Validate, RealTeraSortOutputValidates) {
