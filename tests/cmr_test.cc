@@ -75,8 +75,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{3, 1}, std::pair{3, 2}, std::pair{4, 2},
                       std::pair{5, 2}, std::pair{5, 3}, std::pair{6, 4}),
     [](const auto& info) {
-      return "K" + std::to_string(info.param.first) + "r" +
-             std::to_string(info.param.second);
+      std::string name = "K";
+      name += std::to_string(info.param.first);
+      name += "r";
+      name += std::to_string(info.param.second);
+      return name;
     });
 
 TEST(Cmr, WordCountTotalsAreConserved) {

@@ -259,8 +259,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{8, 4}, std::pair{9, 3}, std::pair{10, 5},
                       std::pair{6, 6}),
     [](const auto& info) {
-      return "K" + std::to_string(info.param.first) + "r" +
-             std::to_string(info.param.second);
+      std::string name = "K";
+      name += std::to_string(info.param.first);
+      name += "r";
+      name += std::to_string(info.param.second);
+      return name;
     });
 
 }  // namespace

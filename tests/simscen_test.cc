@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "analytics/report.h"
 #include "common/random.h"
 #include "cmr/cmr.h"
 #include "codedterasort/coded_terasort.h"
 #include "driver/cluster.h"
+#include "obs/timeline.h"
 #include "simnet/schedule.h"
 #include "simscen/engine.h"
 #include "simscen/netsim.h"
@@ -1133,6 +1137,472 @@ TEST(NetMakespan, PerSenderReplayIgnoresLogInterleaving) {
       EXPECT_EQ(mismatched, 0u);
     }
   }
+}
+
+// ---- Golden replays: the flow DES pinned bit for bit ----
+//
+// Seeded synthetic logs replayed under every parallel discipline,
+// order, topology family and outage setting, with a timeline probe.
+// Each case pins the %a makespan, one FNV-1a digest over the per-flow
+// time bits, the delivered bytes and the timeline digest, and the
+// three DES counters. Any change to the scheduler's arithmetic or
+// event order changes a row. On a mismatch the test prints the row it
+// computed, in table syntax.
+
+// `flows` transmissions from uniformly drawn senders, each to
+// 1..max_fanout distinct receivers, with 8-64 KB payloads (unequal, so
+// completions rarely tie), in a seeded global interleaving.
+TransmissionLog SyntheticLog(int k, int flows, int max_fanout,
+                             std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  TransmissionLog log;
+  for (int i = 0; i < flows; ++i) {
+    Transmission t;
+    t.src = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(k)));
+    const auto fanout =
+        1 + rng.below(static_cast<std::uint64_t>(max_fanout));
+    while (t.dsts.size() < fanout) {
+      const auto d =
+          static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(k)));
+      if (d != t.src &&
+          std::find(t.dsts.begin(), t.dsts.end(), d) == t.dsts.end()) {
+        t.dsts.push_back(d);
+      }
+    }
+    t.bytes = 8000 + rng.below(56001);
+    t.seq = static_cast<std::uint64_t>(i);
+    log.push_back(std::move(t));
+  }
+  return log;
+}
+
+// Equal-size unicasts in rounds: in round j node n sends to node
+// n + 1 + j (mod k), so a round's flows finish at the same instant and
+// the DES faces k-way completion ties.
+TransmissionLog EqualBytesLog(int k, int rounds) {
+  TransmissionLog log;
+  for (int j = 0; j < rounds; ++j) {
+    for (int n = 0; n < k; ++n) {
+      const auto dst = static_cast<NodeId>((n + 1 + j % (k - 1)) % k);
+      log.push_back({static_cast<NodeId>(n), {dst}, 12000, log.size()});
+    }
+  }
+  return log;
+}
+
+struct GoldenLog {
+  const char* name;
+  int k;
+  TransmissionLog log;
+};
+
+std::vector<GoldenLog> GoldenLogs() {
+  // Seeds picked so that node 3 has a flow in flight when the golden
+  // outage starts, in every case: each outage row re-queues.
+  return {{"K8-unicast", 8, SyntheticLog(8, 400, 1, 1405)},
+          {"K8-multicast", 8, SyntheticLog(8, 400, 4, 1405)},
+          {"K16-unicast", 16, SyntheticLog(16, 576, 1, 1409)},
+          {"K16-multicast", 16, SyntheticLog(16, 576, 4, 1412)},
+          {"K16-ties", 16, EqualBytesLog(16, 30)}};
+}
+
+std::vector<std::pair<const char*, Topology>> GoldenTopologies(int k) {
+  Topology aware = Topology::RackOversubscribed(k, 4, 2.0, 1.5, 3.0);
+  aware.rack_aware_multicast = true;
+  return {{"single-rack", Topology::SingleRack(k)},
+          {"oversub", Topology::Oversubscribed(k, 4, 2.0)},
+          {"rack-oversub", Topology::RackOversubscribed(k, 4, 2.0, 1.5, 3.0)},
+          {"rack-aware", aware}};
+}
+
+constexpr Discipline kParallelDisciplines[] = {
+    Discipline::kParallelHalfDuplex, Discipline::kParallelFullDuplex};
+
+LinkOutage GoldenOutage(bool on) {
+  LinkOutage outage;
+  if (on) {
+    outage.node = 3;
+    outage.start = 0.002;
+    outage.end = 0.02;
+  }
+  return outage;
+}
+
+std::string CaseLabel(const GoldenLog& g, const char* topo, Discipline d,
+                      ReplayOrder order, bool outage) {
+  return std::string(g.name) + "/" + topo + "/" +
+         (d == Discipline::kParallelFullDuplex ? "full" : "half") + "/" +
+         (order == ReplayOrder::kLogOrder ? "log" : "per-sender") + "/" +
+         (outage ? "outage" : "clean");
+}
+
+std::string HexFloat(double x) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+std::uint64_t ReplayDigest(const NetReplayStats& s,
+                           const obs::Timeline& timeline) {
+  std::uint64_t h = obs::kFnvOffset;
+  for (const double x : s.flow_end) h = obs::FnvMix(h, &x, sizeof x);
+  for (const double x : s.flow_start) h = obs::FnvMix(h, &x, sizeof x);
+  h = obs::FnvMix(h, &s.delivered_payload_bytes,
+                  sizeof s.delivered_payload_bytes);
+  const std::uint64_t td = timeline.Digest();
+  return obs::FnvMix(h, &td, sizeof td);
+}
+
+struct GoldenReplay {
+  const char* makespan;
+  std::uint64_t digest;
+  std::uint64_t started;
+  std::uint64_t requeued;
+  std::uint64_t recomputations;
+};
+
+// Rows in case order: log x topology x discipline x order x outage.
+constexpr GoldenReplay kGoldenReplays[] = {
+    {"0x1.4b7221366d9c8p-1", 0x62417919ac57a584ULL, 400, 0, 0},
+    {"0x1.5486236dd9ed2p-1", 0x9e70c5949524efcbULL, 401, 1, 0},
+    {"0x1.d7b318067bb52p-2", 0xf3362aba54408056ULL, 400, 0, 0},
+    {"0x1.c39001db69cf9p-2", 0xfb05c173e8ca68ccULL, 401, 1, 0},
+    {"0x1.8c2b6584ec4cdp-2", 0x1bbd7e9c3a07c1deULL, 400, 0, 0},
+    {"0x1.9ca792a288ff3p-2", 0x4ed59245abe2272fULL, 402, 2, 0},
+    {"0x1.238aa32f5b2cp-2", 0x6ccb9eb13a25158fULL, 400, 0, 0},
+    {"0x1.3344ba4f818p-2", 0x5e8c8393a4c8b1edULL, 402, 2, 0},
+    {"0x1.4b7221366d9c8p-1", 0x62417919ac57a584ULL, 400, 0, 313},
+    {"0x1.5486236dd9ed2p-1", 0x9e70c5949524efcbULL, 401, 1, 313},
+    {"0x1.d7b318067bb52p-2", 0xf3362aba54408056ULL, 400, 0, 361},
+    {"0x1.c39001db69cf9p-2", 0xfb05c173e8ca68ccULL, 401, 1, 367},
+    {"0x1.8cefb7b360144p-2", 0xd0da5e6c6f67b22fULL, 400, 0, 363},
+    {"0x1.9ce974dbc34dap-2", 0x9ede7ccbd1b94e6eULL, 402, 2, 364},
+    {"0x1.1f1bda972d346p-2", 0x92bb459f64ddf94aULL, 400, 0, 391},
+    {"0x1.385961dcb38fcp-2", 0x838aeca762367532ULL, 402, 2, 389},
+    {"0x1.6a6a0da074434p-1", 0x90a03994b33d05e1ULL, 400, 0, 314},
+    {"0x1.735421402bb4ep-1", 0xc4ce8970cf16ace0ULL, 401, 1, 314},
+    {"0x1.170c33bc71ca4p-1", 0xab3d58c1664207c9ULL, 400, 0, 359},
+    {"0x1.27c525608d333p-1", 0xb5e373f1c57c02a9ULL, 401, 1, 354},
+    {"0x1.d24c251814b2fp-2", 0x44b62568fde0306aULL, 400, 0, 368},
+    {"0x1.e28771d354bcbp-2", 0x1027b4a2645d1b99ULL, 402, 2, 370},
+    {"0x1.750cb0e4057cep-2", 0xa09e30cc3874178bULL, 400, 0, 391},
+    {"0x1.7cda55634df5dp-2", 0x6642a4ffd9fee28dULL, 402, 2, 385},
+    {"0x1.6a6a0da074434p-1", 0x90a03994b33d05e1ULL, 400, 0, 314},
+    {"0x1.735421402bb4ep-1", 0xc4ce8970cf16ace0ULL, 401, 1, 314},
+    {"0x1.170c33bc71ca4p-1", 0xab3d58c1664207c9ULL, 400, 0, 359},
+    {"0x1.27c525608d333p-1", 0xb5e373f1c57c02a9ULL, 401, 1, 354},
+    {"0x1.d24c251814b2fp-2", 0x44b62568fde0306aULL, 400, 0, 368},
+    {"0x1.e28771d354bcbp-2", 0x1027b4a2645d1b99ULL, 402, 2, 370},
+    {"0x1.750cb0e4057cep-2", 0xa09e30cc3874178bULL, 400, 0, 391},
+    {"0x1.7cda55634df5dp-2", 0x6642a4ffd9fee28dULL, 402, 2, 385},
+    {"0x1.5a6e00d1a6292p+0", 0x89434912199ff87eULL, 400, 0, 0},
+    {"0x1.5fd36c954e7bfp+0", 0x765c9ec3bdb47bc7ULL, 401, 1, 0},
+    {"0x1.545b4937f3426p+0", 0x7a21da53de69a1bfULL, 400, 0, 0},
+    {"0x1.4d7b92651de8dp+0", 0x1db9ede6b05bee55ULL, 401, 1, 0},
+    {"0x1.e780d145c8269p-1", 0xbd8e78c2489947c3ULL, 400, 0, 0},
+    {"0x1.f24ba8cd18cc4p-1", 0x43a8d13281fdb3acULL, 401, 1, 0},
+    {"0x1.730231e829168p-1", 0xb81d1d568760cc8cULL, 400, 0, 0},
+    {"0x1.68e6e473ebb68p-1", 0x86e8397f5ad71b27ULL, 402, 2, 0},
+    {"0x1.5a6e00d1a6292p+0", 0x89434912199ff87eULL, 400, 0, 661},
+    {"0x1.5fd36c954e7bfp+0", 0x765c9ec3bdb47bc7ULL, 401, 1, 663},
+    {"0x1.545b4937f3426p+0", 0x7a21da53de69a1bfULL, 400, 0, 659},
+    {"0x1.4d7b92651de8dp+0", 0x1db9ede6b05bee55ULL, 401, 1, 660},
+    {"0x1.e7a3283d089abp-1", 0xf851b5648a791b04ULL, 400, 0, 689},
+    {"0x1.f26dffc459407p-1", 0x9b907294501a7cf1ULL, 401, 1, 691},
+    {"0x1.734ed5a46eebap-1", 0xab6e342cf0c169d3ULL, 400, 0, 711},
+    {"0x1.69c65e6c883cap-1", 0x3b392c8030dc979cULL, 402, 2, 705},
+    {"0x1.c5416e5236952p+0", 0xb3ccdcd607c178b3ULL, 400, 0, 661},
+    {"0x1.caa6da15dee82p+0", 0x760fa457fcd85f67ULL, 401, 1, 663},
+    {"0x1.beeec99b6c3b2p+0", 0x38cf8028a7800c19ULL, 400, 0, 667},
+    {"0x1.b46fda53ca19ep+0", 0x7fe94cb2d1c14831ULL, 401, 1, 670},
+    {"0x1.607566761ca34p+0", 0xba7560a74a969ab1ULL, 400, 0, 690},
+    {"0x1.65dad239c4f61p+0", 0x4bf72f36de521c51ULL, 401, 1, 692},
+    {"0x1.32c37f1484348p+0", 0x00d8dd0def15323bULL, 400, 0, 709},
+    {"0x1.1eef4a1a0be09p+0", 0x36f6f0ad780a0658ULL, 402, 2, 710},
+    {"0x1.40acaf4768d27p+0", 0xabd3f899b7dd57b8ULL, 400, 0, 603},
+    {"0x1.46086974d27f2p+0", 0x3907187179df7aebULL, 401, 1, 604},
+    {"0x1.372aa41fb46cp+0", 0xc1a430843363d889ULL, 400, 0, 610},
+    {"0x1.444841b2509c2p+0", 0xd5a7621452461955ULL, 401, 1, 605},
+    {"0x1.e7537ca5445cp-1", 0x630755ad217c8038ULL, 400, 0, 626},
+    {"0x1.f20af10017b56p-1", 0xf963852084d191d7ULL, 401, 1, 627},
+    {"0x1.a51a2c478b6d1p-1", 0x8cd277d11f61deeaULL, 400, 0, 633},
+    {"0x1.9cbabd0c2bb0ep-1", 0xfc99f60d1419bc6aULL, 401, 1, 644},
+    {"0x1.2ea5de2991f71p-1", 0x1553e7d880933c13ULL, 576, 0, 0},
+    {"0x1.35eb0e9eb0162p-1", 0xd70bbc4dabd9f65bULL, 577, 1, 0},
+    {"0x1.7b0b7ce9dbfe5p-2", 0xf824e4cde4952e6cULL, 576, 0, 0},
+    {"0x1.78ef59925927fp-2", 0x96abc323a50d2924ULL, 577, 1, 0},
+    {"0x1.4c85f5dd9fd21p-2", 0xaf97ce0050cdaf9bULL, 576, 0, 0},
+    {"0x1.50b1c93b47d4cp-2", 0x96f77de20430d1a0ULL, 578, 2, 0},
+    {"0x1.dd24989e40354p-3", 0xeee7c3cc7b1c2422ULL, 576, 0, 0},
+    {"0x1.d458632a93abep-3", 0x08cde096e7a3fcecULL, 578, 2, 0},
+    {"0x1.2ea5de2991f71p-1", 0x1553e7d880933c13ULL, 576, 0, 565},
+    {"0x1.35eb0e9eb0162p-1", 0xd70bbc4dabd9f65bULL, 577, 1, 564},
+    {"0x1.7b0b7ce9dbfe5p-2", 0xf824e4cde4952e6cULL, 576, 0, 574},
+    {"0x1.78ef59925927fp-2", 0x96abc323a50d2924ULL, 577, 1, 575},
+    {"0x1.4d4a6a92aacaap-2", 0xb9f80530614c664fULL, 576, 0, 574},
+    {"0x1.51763df052cd5p-2", 0x482b5a973a80df0bULL, 578, 2, 576},
+    {"0x1.eaa42c1625768p-3", 0x30b4956006a2a3cfULL, 576, 0, 575},
+    {"0x1.f760405bee04cp-3", 0xa2d30a3b0eacebf0ULL, 578, 2, 577},
+    {"0x1.5e4d9667fd871p-1", 0xd2f2333de22df3b9ULL, 576, 0, 566},
+    {"0x1.6592c6dd1ba61p-1", 0xc43e368f4038aae4ULL, 577, 1, 566},
+    {"0x1.01dbc138ce393p-1", 0x43bddc66db815277ULL, 576, 0, 573},
+    {"0x1.e4ae5b29a847dp-2", 0xf859d9956ec56a0cULL, 577, 1, 577},
+    {"0x1.ca51cc776d71ep-2", 0xfd3879ec0efa3f45ULL, 576, 0, 575},
+    {"0x1.c7873b7d6df55p-2", 0x4a7f93cd84e09330ULL, 578, 2, 577},
+    {"0x1.67183582ae4d5p-2", 0xec02580b20058b36ULL, 576, 0, 575},
+    {"0x1.646646e4d8267p-2", 0x06b0079a9861d9eeULL, 578, 2, 577},
+    {"0x1.5e4d9667fd871p-1", 0xd2f2333de22df3b9ULL, 576, 0, 566},
+    {"0x1.6592c6dd1ba61p-1", 0xc43e368f4038aae4ULL, 577, 1, 566},
+    {"0x1.01dbc138ce393p-1", 0x43bddc66db815277ULL, 576, 0, 573},
+    {"0x1.e4ae5b29a847dp-2", 0xf859d9956ec56a0cULL, 577, 1, 577},
+    {"0x1.ca51cc776d71ep-2", 0xfd3879ec0efa3f45ULL, 576, 0, 575},
+    {"0x1.c7873b7d6df55p-2", 0x4a7f93cd84e09330ULL, 578, 2, 577},
+    {"0x1.67183582ae4d5p-2", 0xec02580b20058b36ULL, 576, 0, 575},
+    {"0x1.646646e4d8267p-2", 0x06b0079a9861d9eeULL, 578, 2, 577},
+    {"0x1.5eb77058098fap+0", 0xecd8bb0de3fb356dULL, 576, 0, 0},
+    {"0x1.632028b06ade9p+0", 0x63319a4f78b3770fULL, 577, 1, 0},
+    {"0x1.cb332812d1a4cp-1", 0xd86130104777684aULL, 576, 0, 0},
+    {"0x1.9995368f4ceccp-1", 0x66032729b4464dc4ULL, 577, 1, 0},
+    {"0x1.cba51a0c0933fp-1", 0x78f897f2a7a6f147ULL, 576, 0, 0},
+    {"0x1.d4768abccbd1ep-1", 0x02d9fa302c401627ULL, 577, 1, 0},
+    {"0x1.11ef5d9a0c49ep-1", 0x51b168152bb081dfULL, 576, 0, 0},
+    {"0x1.1f5c90ce316e9p-1", 0x0ca4119de653a32cULL, 579, 3, 0},
+    {"0x1.5eb77058098fap+0", 0xecd8bb0de3fb356dULL, 576, 0, 992},
+    {"0x1.632028b06ade9p+0", 0x63319a4f78b3770fULL, 577, 1, 993},
+    {"0x1.cb332812d1a4cp-1", 0xd86130104777684aULL, 576, 0, 992},
+    {"0x1.9995368f4ceccp-1", 0x66032729b4464dc4ULL, 577, 1, 996},
+    {"0x1.cba51a0c0933fp-1", 0x78f897f2a7a6f147ULL, 576, 0, 994},
+    {"0x1.d4768abccbd1ep-1", 0x02d9fa302c401627ULL, 577, 1, 995},
+    {"0x1.11f75a5c55258p-1", 0x0590e5a7f7c80366ULL, 576, 0, 994},
+    {"0x1.1f5d598d82e13p-1", 0x95f6f3452f0fa0e3ULL, 579, 3, 996},
+    {"0x1.c0087dd2f8adp+0", 0x9f63c199878ba03fULL, 576, 0, 992},
+    {"0x1.c492c1fc15bap+0", 0xf503f59b8bde87baULL, 577, 1, 993},
+    {"0x1.439b8b043de04p+0", 0xb869c6cd44018148ULL, 576, 0, 994},
+    {"0x1.49d6ae78f42a3p+0", 0x3d246100954fbd46ULL, 577, 1, 996},
+    {"0x1.503dc1ed11032p+0", 0x755d63e7a0b1d7f4ULL, 576, 0, 994},
+    {"0x1.54a2679c881b2p+0", 0x6966b8499c47faf9ULL, 577, 1, 995},
+    {"0x1.f1126a98dd302p-1", 0x001af332a002736dULL, 576, 0, 994},
+    {"0x1.f0a189e90a252p-1", 0x250fa3fa40b625f1ULL, 578, 2, 996},
+    {"0x1.6e4bae09a4d41p+0", 0x0beba2178cbc33a8ULL, 576, 0, 964},
+    {"0x1.72d5f232c1e11p+0", 0x8e9950eed822a93fULL, 577, 1, 965},
+    {"0x1.19c8c7d657a17p+0", 0x354543eb11676777ULL, 576, 0, 965},
+    {"0x1.1cafbfd79bf44p+0", 0xdaed0f79473a3f38ULL, 577, 1, 969},
+    {"0x1.15272681b34c2p+0", 0x861d0796fd92e08fULL, 576, 0, 968},
+    {"0x1.198bcc312a644p+0", 0xea4aec7eb4c52e4dULL, 577, 1, 969},
+    {"0x1.b24d5371145a6p-1", 0xb0849c284e358211ULL, 576, 0, 968},
+    {"0x1.991ebccf1f4c2p-1", 0x81b7c02f505cde02ULL, 578, 2, 970},
+    {"0x1.490f48d818a8fp-3", 0x87033e6405c45443ULL, 480, 0, 0},
+    {"0x1.6de16e4fceabep-3", 0x826ddb859a9dc7ffULL, 480, 0, 0},
+    {"0x1.1763ebbc4ee52p-2", 0xdf3bcce80417e0d7ULL, 480, 0, 0},
+    {"0x1.ba7448855061ap-3", 0x68c5ae59e50ebe3eULL, 481, 1, 0},
+    {"0x1.f0b1a315e19a1p-6", 0x08b6a6e012f94bdeULL, 480, 0, 0},
+    {"0x1.93e8a19915262p-5", 0x011f3743089c223aULL, 482, 2, 0},
+    {"0x1.f0b1a315e19a1p-6", 0x08b6a6e012f94bdeULL, 480, 0, 0},
+    {"0x1.03e6e817a0a0fp-4", 0x03590ec5827bec64ULL, 482, 2, 0},
+    {"0x1.490f48d818a8fp-3", 0x87033e6405c45443ULL, 480, 0, 118},
+    {"0x1.6de16e4fceabep-3", 0x826ddb859a9dc7ffULL, 480, 0, 118},
+    {"0x1.1763ebbc4ee52p-2", 0xdf3bcce80417e0d7ULL, 480, 0, 223},
+    {"0x1.ba7448855061ap-3", 0x68c5ae59e50ebe3eULL, 481, 1, 198},
+    {"0x1.9de95d3ce6ab3p-5", 0x3dd3d71c3d902eb8ULL, 480, 0, 34},
+    {"0x1.f848431692348p-5", 0xa31a30ed4ec0dff1ULL, 482, 2, 50},
+    {"0x1.9de95d3ce6ab3p-5", 0x3dd3d71c3d902eb8ULL, 480, 0, 34},
+    {"0x1.191d6d30d4215p-4", 0xceb62957b23da8adULL, 482, 2, 70},
+    {"0x1.a74cb3c4705aep-3", 0x1ef2e4d806266b46ULL, 480, 0, 354},
+    {"0x1.cc1ed93c2662fp-3", 0xd4b8c296117a6fe9ULL, 480, 0, 354},
+    {"0x1.36b1e0faa9769p-3", 0xb55045a0c772b366ULL, 480, 0, 367},
+    {"0x1.1d33727f9d511p-3", 0x498c58597cff981dULL, 481, 1, 371},
+    {"0x1.2e27cbbe60b58p-4", 0x2f56cc862e63e0cbULL, 480, 0, 40},
+    {"0x1.71d8e4dbcde66p-4", 0x08d7fc882767d429ULL, 482, 2, 316},
+    {"0x1.2e27cbbe60b58p-4", 0x2f56cc862e63e0cbULL, 480, 0, 40},
+    {"0x1.b3fe6d9601cbep-4", 0x841669587dda4463ULL, 482, 2, 293},
+    {"0x1.a74cb3c4705aep-3", 0x1ef2e4d806266b46ULL, 480, 0, 354},
+    {"0x1.cc1ed93c2662fp-3", 0xd4b8c296117a6fe9ULL, 480, 0, 354},
+    {"0x1.36b1e0faa9769p-3", 0xb55045a0c772b366ULL, 480, 0, 367},
+    {"0x1.1d33727f9d511p-3", 0x498c58597cff981dULL, 481, 1, 371},
+    {"0x1.2e27cbbe60b58p-4", 0x2f56cc862e63e0cbULL, 480, 0, 40},
+    {"0x1.71d8e4dbcde66p-4", 0x08d7fc882767d429ULL, 482, 2, 316},
+    {"0x1.2e27cbbe60b58p-4", 0x2f56cc862e63e0cbULL, 480, 0, 40},
+    {"0x1.b3fe6d9601cbep-4", 0x841669587dda4463ULL, 482, 2, 293},
+};
+
+TEST(NetMakespanGolden, ReplaysAreBitForBitPinned) {
+  std::size_t row = 0;
+  std::uint64_t requeued = 0;
+  for (const GoldenLog& g : GoldenLogs()) {
+    for (const auto& [topo_name, topo] : GoldenTopologies(g.k)) {
+      for (const Discipline d : kParallelDisciplines) {
+        for (const ReplayOrder order : kAllOrders) {
+          for (const bool outage : {false, true}) {
+            obs::Timeline timeline;
+            TimelineProbe probe;
+            probe.timeline = &timeline;
+            NetReplayStats s;
+            const double m = NetMakespan(g.log, topo, d, order,
+                                         GoldenOutage(outage), &s, nullptr,
+                                         probe);
+            requeued += s.flows_requeued;
+            char got[160];
+            std::snprintf(got, sizeof got,
+                          "{\"%s\", 0x%016" PRIx64 "ULL, %" PRIu64
+                          ", %" PRIu64 ", %" PRIu64 "},",
+                          HexFloat(m).c_str(), ReplayDigest(s, timeline),
+                          s.flows_started, s.flows_requeued,
+                          s.maxmin_recomputations);
+            const bool match =
+                row < std::size(kGoldenReplays) &&
+                HexFloat(m) == kGoldenReplays[row].makespan &&
+                ReplayDigest(s, timeline) == kGoldenReplays[row].digest &&
+                s.flows_started == kGoldenReplays[row].started &&
+                s.flows_requeued == kGoldenReplays[row].requeued &&
+                s.maxmin_recomputations ==
+                    kGoldenReplays[row].recomputations;
+            EXPECT_TRUE(match)
+                << "row " << row << " "
+                << CaseLabel(g, topo_name, d, order, outage)
+                << "\n    " << got;
+            ++row;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(row, std::size(kGoldenReplays));
+  EXPECT_GT(requeued, 0u) << "the outage must hit in-flight flows";
+}
+
+// Records every OrderingDecision the DES hands the hook and returns
+// the canonical order: a digest of (kind, time bits, candidates) over
+// the whole replay pins the tie and re-queue batches that
+// check/explore's DPOR explorer branches on.
+class RecordingHook : public OrderingHook {
+ public:
+  std::vector<std::size_t> Choose(const OrderingDecision& d) override {
+    const auto kind = static_cast<std::uint64_t>(d.kind);
+    digest_ = obs::FnvMix(digest_, &kind, sizeof kind);
+    digest_ = obs::FnvMix(digest_, &d.time, sizeof d.time);
+    const std::uint64_t width = d.candidates.size();
+    digest_ = obs::FnvMix(digest_, &width, sizeof width);
+    for (const std::size_t c : d.candidates) {
+      const std::uint64_t v = c;
+      digest_ = obs::FnvMix(digest_, &v, sizeof v);
+    }
+    ++(d.kind == OrderingDecision::Kind::kCompletionTie ? ties_ : requeues_);
+    return d.candidates;
+  }
+  std::uint64_t digest() const { return digest_; }
+  std::uint64_t ties() const { return ties_; }
+  std::uint64_t requeues() const { return requeues_; }
+
+ private:
+  std::uint64_t digest_ = obs::kFnvOffset;
+  std::uint64_t ties_ = 0;
+  std::uint64_t requeues_ = 0;
+};
+
+struct GoldenDecisions {
+  std::uint64_t ties;
+  std::uint64_t requeues;
+  std::uint64_t digest;
+};
+
+// Rows in case order: log x topology x discipline x order x outage,
+// over two equal-bytes logs and the K16 multicast log on the
+// single-rack and rack-oversubscribed topologies.
+constexpr GoldenDecisions kGoldenDecisions[] = {
+    {124, 0, 0xcb672bc8a06b8ea2ULL},
+    {124, 0, 0x80198199f1d4ec58ULL},
+    {32, 0, 0x443c47e066178bf6ULL},
+    {48, 0, 0xa1c36142522d70b3ULL},
+    {40, 0, 0x56ccdfca74897504ULL},
+    {44, 1, 0xcbfefce9f22a01c4ULL},
+    {40, 0, 0x56ccdfca74897504ULL},
+    {64, 1, 0x08965862a8c54fcfULL},
+    {104, 0, 0x1ffd672a56629656ULL},
+    {104, 0, 0xaa784bb260f2352bULL},
+    {48, 0, 0xf02c6cfec49b7f32ULL},
+    {55, 0, 0xb9c8b62ed5ffdabfULL},
+    {68, 0, 0x841aaee381a0e1a7ULL},
+    {120, 1, 0x3724f850b9601792ULL},
+    {68, 0, 0x841aaee381a0e1a7ULL},
+    {105, 1, 0x8fad584c40ef71e8ULL},
+    {128, 0, 0x17793d0a19b9bbc9ULL},
+    {128, 0, 0x97b1b0939572c4b3ULL},
+    {129, 0, 0xb467775e99be6f29ULL},
+    {119, 0, 0xe5ecc28e676bf6dfULL},
+    {30, 0, 0xa015356dff0f4617ULL},
+    {42, 1, 0x30ba01163d406843ULL},
+    {30, 0, 0xa015356dff0f4617ULL},
+    {56, 1, 0xdd76412864ee5312ULL},
+    {72, 0, 0x21349dd755e7d7f9ULL},
+    {72, 0, 0x13900d41851ea91cULL},
+    {69, 0, 0xd64076b35403ac97ULL},
+    {76, 0, 0x088db2e993b8c3ffULL},
+    {40, 0, 0xb9a0927cb4f1a253ULL},
+    {77, 1, 0x79687c703e60f386ULL},
+    {40, 0, 0xb9a0927cb4f1a253ULL},
+    {90, 1, 0x5130bfa4038b6e42ULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 1, 0x2a1d010c205cd33bULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 0, 0xcbf29ce484222325ULL},
+    {0, 1, 0x25b873ad723a511bULL},
+};
+
+TEST(NetMakespanGolden, OrderingDecisionsArePinned) {
+  std::size_t row = 0;
+  std::uint64_t ties = 0;
+  std::uint64_t requeues = 0;
+  const std::vector<GoldenLog> logs = {
+      {"K8-ties", 8, EqualBytesLog(8, 40)},
+      {"K16-ties", 16, EqualBytesLog(16, 30)},
+      {"K16-multicast", 16, SyntheticLog(16, 576, 4, 1412)}};
+  for (const GoldenLog& g : logs) {
+    for (const auto& [topo_name, topo] : GoldenTopologies(g.k)) {
+      if (std::string(topo_name) != "single-rack" &&
+          std::string(topo_name) != "rack-oversub") {
+        continue;
+      }
+      for (const Discipline d : kParallelDisciplines) {
+        for (const ReplayOrder order : kAllOrders) {
+          for (const bool outage : {false, true}) {
+            RecordingHook hook;
+            NetMakespan(g.log, topo, d, order, GoldenOutage(outage),
+                        nullptr, &hook);
+            ties += hook.ties();
+            requeues += hook.requeues();
+            char got[96];
+            std::snprintf(got, sizeof got,
+                          "{%" PRIu64 ", %" PRIu64 ", 0x%016" PRIx64 "ULL},",
+                          hook.ties(), hook.requeues(), hook.digest());
+            const bool match = row < std::size(kGoldenDecisions) &&
+                               hook.ties() == kGoldenDecisions[row].ties &&
+                               hook.requeues() ==
+                                   kGoldenDecisions[row].requeues &&
+                               hook.digest() == kGoldenDecisions[row].digest;
+            EXPECT_TRUE(match)
+                << "row " << row << " "
+                << CaseLabel(g, topo_name, d, order, outage)
+                << "\n    " << got;
+            ++row;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(row, std::size(kGoldenDecisions));
+  EXPECT_GT(ties, 0u) << "no completion-tie batch was exercised";
+  EXPECT_GT(requeues, 0u) << "no outage re-queue batch was exercised";
 }
 
 }  // namespace
