@@ -143,9 +143,9 @@ class FlowSim {
 
     if (order_ == simnet::ReplayOrder::kLogOrder) {
       for (std::size_t i = 0; i < flows_.size(); ++i) {
-        for (const int r : needed(flows_[i])) {
+        ForEachNeeded(flows_[i], [&](int r) {
           resources_[static_cast<std::size_t>(r)].queue.push_back(i);
-        }
+        });
       }
     } else {
       // Per-sender FIFO in seq order (a sender's seq order is its
@@ -187,30 +187,21 @@ class FlowSim {
     }
     const bool sampling = probe.timeline != nullptr && dt > 0;
     const auto sample_at = [&](double t) {
-      double inflight = 0;
-      double requeue_depth = 0;
-      std::vector<char> busy(resources_.size(), 0);
-      for (const Flow& f : flows_) {
-        if (f.done) continue;
-        if (f.admitted) {
-          inflight += 1;
-          busy[static_cast<std::size_t>(f.up_res)] = 1;
-          if (!f.receivers_released) {
-            for (const int r : f.down_res) {
-              busy[static_cast<std::size_t>(r)] = 1;
-            }
-          }
-        } else if (f.first_admit >= 0) {
-          // Admitted once, knocked back by the outage, not yet back on
-          // the wire: the re-queue backlog.
-          requeue_depth += 1;
-        }
+      busy_.assign(resources_.size(), 0);
+      for (const std::size_t i : active_) {
+        ForEachNeeded(flows_[i], [&](int r) {
+          busy_[static_cast<std::size_t>(r)] = 1;
+        });
       }
       double busy_links = 0;
-      for (const char b : busy) busy_links += b;
+      for (const char b : busy_) busy_links += b;
       const double ts = probe.t0 + probe.scale * t;
-      probe.timeline->Sample("des/inflight_flows", ts, inflight);
-      probe.timeline->Sample("des/requeue_depth", ts, requeue_depth);
+      probe.timeline->Sample("des/inflight_flows", ts,
+                             static_cast<double>(active_.size()));
+      // Admitted once, knocked back by the outage, not yet back on the
+      // wire: the re-queue backlog.
+      probe.timeline->Sample("des/requeue_depth", ts,
+                             static_cast<double>(requeue_backlog_));
       probe.timeline->Sample(
           "des/link_utilization", ts,
           busy_links / static_cast<double>(resources_.size()));
@@ -228,8 +219,8 @@ class FlowSim {
       // outage window edges (a blocked system only moves again when
       // the outage starts releasing flows or ends re-admitting them).
       double t_next = kInf;
-      for (const Flow& f : flows_) {
-        if (!f.admitted || f.done) continue;
+      for (const std::size_t i : active_) {
+        const Flow& f = flows_[i];
         CTS_CHECK_GT(f.rate, 0.0);
         const double cand =
             f.seg_start + (f.next_threshold() - f.seg_sent) / f.rate;
@@ -262,9 +253,8 @@ class FlowSim {
       // after the batch), so collect-then-process with the canonical
       // ascending order is the historical behaviour bit-for-bit.
       tie_.clear();
-      for (std::size_t i = 0; i < flows_.size(); ++i) {
+      for (const std::size_t i : active_) {
         const Flow& f = flows_[i];
-        if (!f.admitted || f.done) continue;
         const double cand =
             f.seg_start + (f.next_threshold() - f.seg_sent) / f.rate;
         if (cand > t_next) continue;
@@ -293,6 +283,7 @@ class FlowSim {
           --remaining;
         }
       }
+      std::erase_if(active_, [&](std::size_t i) { return flows_[i].done; });
       ProcessOutage(now);
       Admit(now);
       Reallocate(now);
@@ -314,17 +305,15 @@ class FlowSim {
     return full_duplex_ ? 2 * n + 1 : n;
   }
 
-  // The exclusive resources a flow needs to make progress from its
-  // current state: the uplink always; the receiver downlinks only
+  // Visits the exclusive resources a flow needs to make progress from
+  // its current state: the uplink always; the receiver downlinks only
   // until the payload has been delivered (a re-queued tail must not
   // wait for downlinks it already released).
-  std::vector<int> needed(const Flow& f) const {
-    std::vector<int> rs;
-    rs.push_back(f.up_res);
-    if (!f.receivers_released) {
-      rs.insert(rs.end(), f.down_res.begin(), f.down_res.end());
-    }
-    return rs;
+  template <typename Fn>
+  static void ForEachNeeded(const Flow& f, Fn&& fn) {
+    fn(f.up_res);
+    if (f.receivers_released) return;
+    for (const int r : f.down_res) fn(r);
   }
 
   void Release(int r) {
@@ -354,29 +343,31 @@ class FlowSim {
     // (unlike completion ties, alternative orders may legally change
     // the makespan), so it is the second hook decision kind.
     tie_.clear();
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
-      const Flow& f = flows_[i];
-      if (f.admitted && !f.done && f.touches_outage) tie_.push_back(i);
+    for (const std::size_t i : active_) {
+      if (flows_[i].touches_outage) tie_.push_back(i);
     }
     for (const std::size_t i :
          ChooseOrder(OrderingDecision::Kind::kOutageRequeue, now, tie_)) {
       Flow& f = flows_[i];
-      for (const int r : needed(f)) {
+      ForEachNeeded(f, [&](int r) {
         Release(r);
         if (order_ == simnet::ReplayOrder::kLogOrder) {
           resources_[static_cast<std::size_t>(r)].queue.push_back(i);
         }
-      }
+      });
       if (order_ != simnet::ReplayOrder::kLogOrder) {
         // Retry in the sender's queue once the outage lifts.
         sender_queue_[static_cast<std::size_t>(f.t->src)].push_back(i);
       }
       ++requeued_;
+      ++requeue_backlog_;
       f.admitted = false;
       f.rate = 0;
       f.seg_start = now;
       f.seg_sent = f.receivers_released ? f.payload : 0.0;
     }
+    std::erase_if(active_,
+                  [&](std::size_t i) { return !flows_[i].admitted; });
   }
 
   // The hook-or-canonical processing order for one decision batch.
@@ -397,22 +388,25 @@ class FlowSim {
     return chosen_;
   }
 
+  // Whether flow i may take exclusive resource r now. Under kLogOrder
+  // only the earliest unreleased user of the link may — per-link FIFO
+  // in log order, which reproduces simnet's list schedule (an earlier
+  // log entry holds or reserves the link until it releases it).
+  bool Grantable(int r, std::size_t i) const {
+    const Resource& res = resources_[static_cast<std::size_t>(r)];
+    if (order_ == simnet::ReplayOrder::kLogOrder) {
+      return res.head < res.queue.size() && res.queue[res.head] == i;
+    }
+    return !res.occupied;
+  }
+
   bool Admissible(std::size_t i, double now) const {
     const Flow& f = flows_[i];
     if (f.touches_outage && InOutage(now)) return false;
-    for (const int r : needed(f)) {
-      const Resource& res = resources_[static_cast<std::size_t>(r)];
-      if (order_ == simnet::ReplayOrder::kLogOrder) {
-        // Admissible only when this flow is the earliest unreleased
-        // user of every link it needs — per-link FIFO in log order,
-        // which reproduces simnet's list schedule (an earlier log
-        // entry holds or reserves the link until it releases it).
-        if (res.head >= res.queue.size() || res.queue[res.head] != i) {
-          return false;
-        }
-      } else {
-        if (res.occupied) return false;
-      }
+    if (!Grantable(f.up_res, i)) return false;
+    if (f.receivers_released) return true;
+    for (const int r : f.down_res) {
+      if (!Grantable(r, i)) return false;
     }
     return true;
   }
@@ -421,22 +415,37 @@ class FlowSim {
     Flow& f = flows_[i];
     f.admitted = true;
     ++admissions_;
-    if (f.first_admit < 0) f.first_admit = now;
+    if (f.first_admit < 0) {
+      f.first_admit = now;
+    } else {
+      --requeue_backlog_;  // an outage victim back on the wire
+    }
     f.seg_start = now;
     f.seg_sent = f.receivers_released ? f.payload : 0.0;
     f.rate = 0;  // assigned by Reallocate before any event math
     if (order_ != simnet::ReplayOrder::kLogOrder) {
-      for (const int r : needed(f)) {
+      ForEachNeeded(f, [&](int r) {
         resources_[static_cast<std::size_t>(r)].occupied = true;
-      }
+      });
     }
+    active_.insert(std::upper_bound(active_.begin(), active_.end(), i), i);
   }
 
   void Admit(double now) {
     if (order_ == simnet::ReplayOrder::kLogOrder) {
-      // Admissions cannot enable other admissions (queues pop on
-      // release only), so one pass in log order suffices.
-      for (std::size_t i = 0; i < flows_.size(); ++i) {
+      // A flow is admissible only at the head of every queue it needs,
+      // and admitting never moves a head (queues pop on release only),
+      // so visiting the current heads once, in ascending log order, is
+      // the full log-order pass.
+      heads_.clear();
+      for (const Resource& res : resources_) {
+        if (res.head < res.queue.size()) {
+          heads_.push_back(res.queue[res.head]);
+        }
+      }
+      std::sort(heads_.begin(), heads_.end());
+      heads_.erase(std::unique(heads_.begin(), heads_.end()), heads_.end());
+      for (const std::size_t i : heads_) {
         if (!flows_[i].admitted && !flows_[i].done && Admissible(i, now)) {
           AdmitFlow(i, now);
         }
@@ -473,74 +482,70 @@ class FlowSim {
   // the senders' logs interleave. A flow's segment is reset only if
   // its rate actually changes.
   void Reallocate(double now) {
-    struct Entry {
-      Flow* f;
-      bool payload_live;  // downlink shares still held
-      bool fixed = false;
-      double limit = 0;
-    };
-    std::vector<Entry> entries;
-    for (Flow& f : flows_) {
-      if (!f.admitted || f.done) continue;
+    entries_.clear();
+    for (const std::size_t i : active_) {
+      Flow& f = flows_[i];
       const bool payload_live =
           !f.receivers_released && !f.pipes_payload.empty();
       if (f.pipes_stream.empty() && !payload_live) {
         SetRate(f, topo_.access_bytes_per_sec, now);
         continue;
       }
-      entries.push_back({&f, payload_live});
+      entries_.push_back({&f, payload_live});
     }
-    if (entries.empty()) return;
+    if (entries_.empty()) return;
     ++maxmin_recomputations_;
 
-    std::vector<double> rem(pipe_cap_);
-    std::vector<double> weight(pipe_cap_.size(), 0.0);
-    std::vector<double> freed(pipe_cap_.size(), 0.0);
+    rem_.assign(pipe_cap_.begin(), pipe_cap_.end());
+    weight_.assign(pipe_cap_.size(), 0.0);
+    freed_.resize(pipe_cap_.size());
     const auto each_pipe = [](const Entry& e, auto&& fn) {
       for (const auto& [p, w] : e.f->pipes_stream) fn(p, w);
       if (e.payload_live) {
         for (const auto& [p, w] : e.f->pipes_payload) fn(p, w);
       }
     };
-    for (const Entry& e : entries) {
+    for (const Entry& e : entries_) {
       each_pipe(e, [&](int p, double w) {
-        weight[static_cast<std::size_t>(p)] += w;
+        weight_[static_cast<std::size_t>(p)] += w;
       });
     }
 
-    std::size_t unfixed = entries.size();
+    std::size_t unfixed = entries_.size();
     while (unfixed > 0) {
       // The rate each unfixed flow could reach if only its own
       // constraints existed; the lowest of these is where the water
       // level binds next, and every flow at that limit fixes there.
       double level = kInf;
-      for (Entry& e : entries) {
+      for (Entry& e : entries_) {
         if (e.fixed) continue;
         e.limit = topo_.access_bytes_per_sec;
         each_pipe(e, [&](int p, double w) {
           (void)w;
           const auto i = static_cast<std::size_t>(p);
-          if (weight[i] > 0) e.limit = std::min(e.limit, rem[i] / weight[i]);
+          if (weight_[i] > 0) {
+            e.limit = std::min(e.limit, rem_[i] / weight_[i]);
+          }
         });
         level = std::min(level, e.limit);
       }
       CTS_CHECK_GT(level, 0.0);
-      std::fill(freed.begin(), freed.end(), 0.0);
-      for (Entry& e : entries) {
+      std::fill(freed_.begin(), freed_.end(), 0.0);
+      for (Entry& e : entries_) {
         if (e.fixed || e.limit > level) continue;
         e.fixed = true;
         --unfixed;
         SetRate(*e.f, level, now);
         each_pipe(e, [&](int p, double w) {
-          freed[static_cast<std::size_t>(p)] += w;
+          freed_[static_cast<std::size_t>(p)] += w;
         });
       }
       // Weights are copy counts, so these sums are exact and each pipe
       // gives back its fixed flows' shares in one order-free step.
-      for (std::size_t i = 0; i < rem.size(); ++i) {
-        if (freed[i] == 0) continue;
-        rem[i] = std::max(rem[i] - freed[i] * level, 0.0);
-        weight[i] -= freed[i];
+      for (std::size_t i = 0; i < rem_.size(); ++i) {
+        if (freed_[i] == 0) continue;
+        rem_[i] = std::max(rem_[i] - freed_[i] * level, 0.0);
+        weight_[i] -= freed_[i];
       }
     }
   }
@@ -552,6 +557,14 @@ class FlowSim {
     f.seg_start = now;
     f.rate = rate;
   }
+
+  // One flow in a water-filling pass.
+  struct Entry {
+    Flow* f;
+    bool payload_live;  // downlink shares still held
+    bool fixed = false;
+    double limit = 0;
+  };
 
   const simnet::TransmissionLog& log_;
   const Topology& topo_;
@@ -566,10 +579,21 @@ class FlowSim {
   std::uint64_t admissions_ = 0;
   std::uint64_t requeued_ = 0;
   std::uint64_t maxmin_recomputations_ = 0;
+  std::uint64_t requeue_backlog_ = 0;  // outage victims not yet re-admitted
   std::vector<Flow> flows_;
+  // Indices of the admitted, not-done flows, ascending: the only flows
+  // an event can touch, visited in the order a full log scan would.
+  std::vector<std::size_t> active_;
   std::vector<Resource> resources_;
   std::vector<std::vector<std::size_t>> sender_queue_;
   std::vector<std::size_t> sender_head_;
+  // Per-event scratch, reused across events.
+  std::vector<std::size_t> heads_;
+  std::vector<Entry> entries_;
+  std::vector<double> rem_;
+  std::vector<double> weight_;
+  std::vector<double> freed_;
+  std::vector<char> busy_;
 };
 
 double SerialNetMakespan(const simnet::TransmissionLog& log,
