@@ -27,6 +27,16 @@
 // core and the default access rate this reproduces
 // simnet::ReplayMakespan bit-for-bit modulo floating-point event
 // accumulation (tests assert 1e-9 relative agreement).
+//
+// Cost: the parallel DES keeps the admitted, not-yet-drained flows in
+// an ascending list of log positions, and every event walks only that
+// list and the finite pipes — O(in-flight flows + finite pipes) per
+// event (times the water-filling levels on a blocking fabric), never
+// the whole log. Exclusive access links cap the in-flight flows at one
+// per sender, so a replay is linear in the log for a fixed cluster.
+// Log-order admission checks only the current heads of the per-link
+// queues. Because the list is ascending, every tie and re-queue batch
+// an OrderingHook sees is in the order a full scan of the log yields.
 #pragma once
 
 #include <cstddef>
