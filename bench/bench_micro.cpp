@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the primitive operations the
 // cost model prices: hashing, serialization, sorting, the XOR codec,
-// subset combinatorics, the transport and the flow-DES replay. These measure *this* host;
-// the table benches use the EC2-calibrated constants instead.
+// subset combinatorics, the transport and the flow-DES replay. These
+// measure *this* host; the table benches use the EC2-calibrated
+// constants instead.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

@@ -1177,8 +1177,8 @@ TransmissionLog SyntheticLog(int k, int flows, int max_fanout,
 }
 
 // Equal-size unicasts in rounds: in round j node n sends to node
-// n + 1 + j (mod k), so a round's flows finish at the same instant and
-// the DES faces k-way completion ties.
+// n + 1 + (j mod (k - 1)), mod k, so a round's flows finish at the same
+// instant and the DES faces k-way completion ties.
 TransmissionLog EqualBytesLog(int k, int rounds) {
   TransmissionLog log;
   for (int j = 0; j < rounds; ++j) {
@@ -1441,17 +1441,18 @@ TEST(NetMakespanGolden, ReplaysAreBitForBitPinned) {
                                          GoldenOutage(outage), &s, nullptr,
                                          probe);
             requeued += s.flows_requeued;
+            const std::string makespan = HexFloat(m);
+            const std::uint64_t digest = ReplayDigest(s, timeline);
             char got[160];
             std::snprintf(got, sizeof got,
                           "{\"%s\", 0x%016" PRIx64 "ULL, %" PRIu64
                           ", %" PRIu64 ", %" PRIu64 "},",
-                          HexFloat(m).c_str(), ReplayDigest(s, timeline),
-                          s.flows_started, s.flows_requeued,
-                          s.maxmin_recomputations);
+                          makespan.c_str(), digest, s.flows_started,
+                          s.flows_requeued, s.maxmin_recomputations);
             const bool match =
                 row < std::size(kGoldenReplays) &&
-                HexFloat(m) == kGoldenReplays[row].makespan &&
-                ReplayDigest(s, timeline) == kGoldenReplays[row].digest &&
+                makespan == kGoldenReplays[row].makespan &&
+                digest == kGoldenReplays[row].digest &&
                 s.flows_started == kGoldenReplays[row].started &&
                 s.flows_requeued == kGoldenReplays[row].requeued &&
                 s.maxmin_recomputations ==
