@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "coding/codec.h"
@@ -35,6 +36,25 @@ void BM_TeraGen(benchmark::State& state) {
                           static_cast<std::int64_t>(n * kRecordBytes));
 }
 BENCHMARK(BM_TeraGen)->Arg(1000)->Arg(100000);
+
+// The Map stage's record loop (MapRecords): 250k TeraGen records
+// straight into K=4 range-partitioned buckets.
+void BM_MapPartition(benchmark::State& state) {
+  const TeraGen gen(42);
+  const RangePartitioner part(4);
+  const RecordRange range{0, 250000};
+  for (auto _ : state) {
+    std::vector<std::vector<Record>> buckets(4);
+    std::vector<std::vector<Record>*> dest;
+    for (auto& bucket : buckets) dest.push_back(&bucket);
+    MapRecords(gen, range, part, dest);
+    benchmark::DoNotOptimize(buckets);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(range.count *
+                                                    kRecordBytes));
+}
+BENCHMARK(BM_MapPartition)->Unit(benchmark::kMillisecond);
 
 void BM_HashPartition(benchmark::State& state) {
   const TeraGen gen(42);
@@ -177,6 +197,55 @@ void BM_DecodePacket(benchmark::State& state) {
                           static_cast<std::int64_t>(iv_bytes));
 }
 BENCHMARK(BM_DecodePacket)->Args({3, 1 << 16})->Args({5, 1 << 16});
+
+// One r=2 group as node 0 of {0, 1, 2} decodes it in CodedTeraSort:
+// the two packets parsed in place from their wire buffers, decoded
+// straight into the records appended to the reduce pool. Each value
+// is a packed list of 80k records (~8 MB).
+void BM_DecodeGroup(benchmark::State& state) {
+  constexpr std::uint64_t kValueRecords = 80000;
+  const NodeMask group = FirstSubset(3);
+  const TeraGen gen(42);
+  std::map<std::pair<NodeId, NodeMask>, std::vector<std::uint8_t>> store;
+  std::uint64_t next = 0;
+  for (const NodeId t : MaskToNodes(group)) {
+    Buffer value;
+    PackRecords(gen.generate(next, kValueRecords), value);
+    next += kValueRecords;
+    store[{t, WithoutNode(group, t)}] = value.take();
+  }
+  const IvAccess access = [&](NodeId t,
+                              NodeMask file) -> std::span<const std::uint8_t> {
+    return store.at({t, file});
+  };
+  std::vector<Buffer> wires;
+  for (const NodeId sender : {1, 2}) {
+    Buffer wire;
+    EncodePacket(group, sender, access).serialize(wire);
+    wires.push_back(std::move(wire));
+  }
+  std::vector<Record> pool;
+  pool.reserve(kValueRecords);
+  for (auto _ : state) {
+    pool.clear();
+    std::vector<CodedPacketView> packets;
+    for (Buffer& wire : wires) {
+      wire.rewind();
+      packets.push_back(CodedPacketView::Parse(wire));
+    }
+    std::optional<InPlaceUnpack> value;
+    DecodeGroup(group, 0, packets, access, [&](std::uint64_t length) {
+      value.emplace(pool, length);
+      return ValueBytes{value->count_bytes(), value->record_bytes()};
+    });
+    value->Finish();
+    benchmark::DoNotOptimize(pool.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kValueRecords *
+                                                    kRecordBytes));
+}
+BENCHMARK(BM_DecodeGroup)->Unit(benchmark::kMillisecond);
 
 void BM_SubsetEnumeration(benchmark::State& state) {
   const int K = static_cast<int>(state.range(0));

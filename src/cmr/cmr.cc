@@ -208,15 +208,19 @@ CmrResult RunCmr(const CmrApp& app, const CmrConfig& config) {
           std::map<std::pair<NodeMask, NodeId>, Buffer> incoming =
               simmpi::MulticastRound(groups, outgoing, overlapped);
           for (const auto& [g, gc] : groups) {
-            std::vector<DecodedSegment> segments;
+            std::vector<CodedPacketView> packets;
             for (const NodeId sender : MaskToNodes(WithoutNode(g, self))) {
-              Buffer& wire = incoming.at({g, sender});
-              const CodedPacket packet = CodedPacket::deserialize(wire);
-              segments.push_back(
-                  DecodePacket(g, self, sender, packet, iv_access));
+              packets.push_back(
+                  CodedPacketView::Parse(incoming.at({g, sender})));
             }
+            std::vector<std::uint8_t> value;
+            DecodeGroup(g, self, packets, iv_access,
+                        [&](std::uint64_t length) {
+                          value.resize(length);
+                          return ValueBytes{value, {}};
+                        });
             received.emplace(placement.file_of(WithoutNode(g, self)),
-                             MergeSegments(segments));
+                             std::move(value));
           }
         }
       });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -79,35 +80,30 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
 
   // ---- Map ----
   // KV pairs of this node's own partition, collected straight into the
-  // reduce pool; and the kept intermediate values I^t_S (t not in S)
-  // as record lists, serialized during Encode.
+  // reduce pool (reserved once, for the whole partition); and the kept
+  // intermediate values I^t_S (t not in S) as record lists, serialized
+  // during Encode.
   std::vector<Record> pool;
   std::map<IvKey, std::vector<Record>> kept;
   stages.run(stage::kMap, [&] {
-    std::vector<std::vector<Record>> hashed(static_cast<std::size_t>(K));
+    pool.reserve(PartitionShare(config.num_records, K));
+    std::vector<std::vector<Record>*> buckets(static_cast<std::size_t>(K));
     for (const FileId f : placement.files_on_node(self)) {
       const NodeMask file_mask = placement.file_nodes(f);
       const auto fi = static_cast<std::size_t>(f);
-      const auto records = gen.generate(ranges.offset[fi], ranges.count[fi]);
-      for (auto& bucket : hashed) bucket.clear();
-      for (const Record& rec : records) {
-        const PartitionId p = partitioner->partition(rec.key);
-        hashed[static_cast<std::size_t>(p)].push_back(rec);
-      }
       for (int t = 0; t < K; ++t) {
-        auto& bucket = hashed[static_cast<std::size_t>(t)];
-        if (t == self) {
-          // I^k_S: this node's own partition — straight to Reduce.
-          pool.insert(pool.end(), bucket.begin(), bucket.end());
-        } else if (!Contains(file_mask, t)) {
-          // I^t_S for t outside S: needed for the coded shuffle.
-          kept.emplace(IvKey{t, f}, std::move(bucket));
-          bucket = {};
-        }
-        // I^t_S for t in S \ {k}: discarded — node t mapped F_S too
-        // (paper Fig. 5).
+        // I^k_S, this node's own partition, goes straight to Reduce;
+        // I^t_S for t outside S is kept for the coded shuffle; I^t_S
+        // for t in S \ {k} is dropped — node t mapped F_S too (paper
+        // Fig. 5).
+        buckets[static_cast<std::size_t>(t)] =
+            t == self                 ? &pool
+            : Contains(file_mask, t) ? nullptr
+                                      : &kept[IvKey{t, f}];
       }
-      work.map_bytes += records.size() * kRecordBytes;
+      MapRecords(gen, {ranges.offset[fi], ranges.count[fi]}, *partitioner,
+                 buckets);
+      work.map_bytes += ranges.count[fi] * kRecordBytes;
       work.map_files += 1;
     }
   });
@@ -128,12 +124,12 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   };
   std::map<NodeMask, Buffer> outgoing;
   stages.run(stage::kEncode, [&] {
-    for (auto& [key, records] : kept) {
+    // Each value's records are freed once they live in serialized form.
+    for (auto it = kept.begin(); it != kept.end(); it = kept.erase(it)) {
       Buffer buf;
-      PackRecords(records, buf);
-      serialized.emplace(key, buf.take());
+      PackRecords(it->second, buf);
+      serialized.emplace(it->first, buf.take());
     }
-    kept.clear();  // records now live in serialized form
     for (const auto& [g, group_comm] : groups) {
       const CodedPacket packet =
           EncodePacket(g, self, iv_access, &work.codec);
@@ -156,23 +152,32 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   });
 
   // ---- Decode ----
+  // Each group's r packets are read in place from their wire buffers
+  // and decoded straight into the records appended to the pool.
   stages.run(stage::kDecode, [&] {
+    std::vector<CodedPacketView> packets;
     for (const auto& [g, group_comm] : groups) {
-      std::vector<DecodedSegment> segments;
-      segments.reserve(static_cast<std::size_t>(r));
-      for (const NodeId sender : MaskToNodes(WithoutNode(g, self))) {
-        Buffer& wire = incoming.at({g, sender});
-        const CodedPacket packet = CodedPacket::deserialize(wire);
-        // The wire buffer is arena-backed (Comm::deliver); return the
-        // storage now that the packet is deserialized.
-        BufferArena::Local().release(wire.take());
-        segments.push_back(
-            DecodePacket(g, self, sender, packet, iv_access, &work.codec));
+      const std::vector<NodeId> senders = MaskToNodes(WithoutNode(g, self));
+      packets.clear();
+      for (const NodeId sender : senders) {
+        packets.push_back(CodedPacketView::Parse(incoming.at({g, sender})));
       }
-      // The r segments reassemble I^self_{g \ {self}}.
-      const auto value = MergeSegments(segments);
-      Buffer value_buf{std::vector<std::uint8_t>(value)};
-      UnpackRecordsInto(value_buf, pool);
+      // The r segments reassemble I^self_{g \ {self}}, a packed record
+      // list: its count header lands in `value`, its records in the pool.
+      std::optional<InPlaceUnpack> value;
+      DecodeGroup(
+          g, self, packets, iv_access,
+          [&](std::uint64_t length) {
+            value.emplace(pool, length);
+            return ValueBytes{value->count_bytes(), value->record_bytes()};
+          },
+          &work.codec);
+      value->Finish();
+      // The wire buffers are arena-backed (Comm::deliver); return the
+      // storage now that the group is decoded.
+      for (const NodeId sender : senders) {
+        BufferArena::Local().release(incoming.at({g, sender}).take());
+      }
     }
   });
 

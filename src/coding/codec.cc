@@ -1,6 +1,7 @@
 #include "coding/codec.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/check.h"
 
@@ -8,11 +9,122 @@ namespace cts {
 
 namespace {
 
-// XOR `src` into `dst[0 .. src.size())`. dst must be long enough.
+// XOR `src` into `dst[0 .. src.size())`, one 8-byte word at a time.
+// dst must be long enough.
 void XorInto(std::span<std::uint8_t> dst,
              std::span<const std::uint8_t> src) {
   CTS_CHECK_GE(dst.size(), src.size());
-  for (std::size_t i = 0; i < src.size(); ++i) dst[i] ^= src[i];
+  std::uint8_t* d = dst.data();
+  const std::uint8_t* s = src.data();
+  const std::size_t n = src.size();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t a;
+    std::uint64_t b;
+    std::memcpy(&a, d + i, 8);
+    std::memcpy(&b, s + i, 8);
+    a ^= b;
+    std::memcpy(d + i, &a, 8);
+  }
+  for (; i < n; ++i) d[i] ^= s[i];
+}
+
+void CopyInto(std::span<std::uint8_t> dst,
+              std::span<const std::uint8_t> src) {
+  CTS_CHECK_GE(dst.size(), src.size());
+  std::copy(src.begin(), src.end(), dst.begin());
+}
+
+// Applies op(dst, src) to the leading src.size() bytes of `out`, head
+// first.
+template <typename Op>
+void ApplyTo(const ValueBytes& out, std::span<const std::uint8_t> src,
+             Op op) {
+  const std::size_t in_head = std::min(out.head.size(), src.size());
+  op(out.head, src.first(in_head));
+  if (in_head < src.size()) op(out.body, src.subspan(in_head));
+}
+
+// What a receiver wants from one packet: the length of its value
+// I^self_{M\{self}} (from the header) and the segment the sender's
+// packet carries.
+struct Wanted {
+  std::uint64_t value_length = 0;
+  SegmentSpan span;
+};
+
+// The sender's targets (ascending) and the receiver's wanted segment.
+// Checks the members and the header's entry count.
+Wanted WantedOf(NodeMask group, NodeId self, NodeId sender,
+                std::span<const std::uint64_t> iv_lengths,
+                std::vector<NodeId>* targets) {
+  CTS_CHECK_MSG(Contains(group, self) && Contains(group, sender),
+                "decode members outside group " << group);
+  CTS_CHECK_NE(self, sender);
+  const int r = Popcount(group) - 1;
+  *targets = MaskToNodes(WithoutNode(group, sender));
+  CTS_CHECK_EQ(iv_lengths.size(), targets->size());
+  // My wanted value is I^self_{M\{self}}; its length travels in the
+  // packet header at my position among the sender's targets.
+  const auto self_it = std::find(targets->begin(), targets->end(), self);
+  CTS_CHECK(self_it != targets->end());
+  const std::uint64_t length =
+      iv_lengths[static_cast<std::size_t>(self_it - targets->begin())];
+  return {length, SegmentOf(length, r,
+                            SegmentPosition(WithoutNode(group, self), sender))};
+}
+
+// Algorithm 2 for one packet: writes the wanted segment to `segment`
+// (exactly its length) and cancels the r-1 known segments there; the
+// payload past the wanted segment is cancelled in a scratch buffer and
+// must be zero padding.
+void DecodeInto(NodeMask group, NodeId self, NodeId sender,
+                std::span<const std::uint64_t> iv_lengths,
+                std::span<const std::uint8_t> payload, const IvAccess& iv,
+                const ValueBytes& segment, CodecStats* stats) {
+  std::vector<NodeId> targets;
+  const SegmentSpan wanted =
+      WantedOf(group, self, sender, iv_lengths, &targets).span;
+  const int r = Popcount(group) - 1;
+  CTS_CHECK_EQ(segment.size(), wanted.length);
+  CTS_CHECK_GE(payload.size(), wanted.length);
+  ApplyTo(segment, payload.first(wanted.length), CopyInto);
+  std::vector<std::uint8_t> residue(payload.begin() + wanted.length,
+                                    payload.end());
+
+  // Cancel the r-1 segments I know (paper eq. (10)).
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const NodeId t = targets[i];
+    if (t == self) continue;
+    const NodeMask file = WithoutNode(group, t);
+    const std::span<const std::uint8_t> value = iv(t, file);
+    CTS_CHECK_MSG(value.size() == iv_lengths[i],
+                  "side-information length mismatch for target "
+                      << t << ": have " << value.size() << " header says "
+                      << iv_lengths[i]);
+    const SegmentSpan span =
+        SegmentOf(value.size(), r, SegmentPosition(file, sender));
+    const auto side = value.subspan(span.offset, span.length);
+    CTS_CHECK_GE(payload.size(), side.size());
+    const std::size_t in_segment =
+        std::min<std::size_t>(side.size(), wanted.length);
+    ApplyTo(segment, side.first(in_segment), XorInto);
+    XorInto(residue, side.subspan(in_segment));
+    if (stats != nullptr) stats->decode_xor_bytes += span.length;
+  }
+
+  // After cancellation only my segment remains; anything beyond its
+  // length must be residual zero padding, or the codec is inconsistent.
+  for (std::size_t i = 0; i < residue.size(); ++i) {
+    CTS_CHECK_MSG(residue[i] == 0,
+                  "nonzero padding residue at byte "
+                      << wanted.length + i << " decoding packet from "
+                      << sender);
+  }
+  if (stats != nullptr) {
+    ++stats->packets_decoded;
+    stats->decoded_bytes += wanted.length;
+  }
 }
 
 }  // namespace
@@ -24,17 +136,26 @@ void CodedPacket::serialize(Buffer& out) const {
   out.write_bytes(payload);
 }
 
-CodedPacket CodedPacket::deserialize(Buffer& in) {
-  CodedPacket p;
+CodedPacketView CodedPacketView::Parse(Buffer& in) {
+  CodedPacketView p;
   const std::uint32_t count = in.read_u32();
+  CTS_CHECK_LE(std::size_t{count}, in.remaining() / sizeof(std::uint64_t));
   p.iv_lengths.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     p.iv_lengths.push_back(in.read_u64());
   }
   const std::uint64_t payload_size = in.read_u64();
-  p.payload.resize(payload_size);
-  in.read_bytes(p.payload);
+  CTS_CHECK_MSG(payload_size <= in.remaining(),
+                "buffer underrun: want " << payload_size << " have "
+                                         << in.remaining());
+  p.payload = in.read_view(payload_size);
   return p;
+}
+
+CodedPacket CodedPacket::deserialize(Buffer& in) {
+  CodedPacketView view = CodedPacketView::Parse(in);
+  return {std::move(view.iv_lengths),
+          {view.payload.begin(), view.payload.end()}};
 }
 
 CodedPacket EncodePacket(NodeMask group, NodeId self, const IvAccess& iv,
@@ -84,58 +205,13 @@ CodedPacket EncodePacket(NodeMask group, NodeId self, const IvAccess& iv,
 DecodedSegment DecodePacket(NodeMask group, NodeId self, NodeId sender,
                             const CodedPacket& packet, const IvAccess& iv,
                             CodecStats* stats) {
-  CTS_CHECK_MSG(Contains(group, self) && Contains(group, sender),
-                "decode members outside group " << group);
-  CTS_CHECK_NE(self, sender);
-  const int r = Popcount(group) - 1;
-  const std::vector<NodeId> senders_targets =
-      MaskToNodes(WithoutNode(group, sender));  // t values, ascending
-  CTS_CHECK_EQ(packet.iv_lengths.size(), senders_targets.size());
-
-  // My wanted value is I^self_{M\{self}}; its length travels in the
-  // packet header at my position among the sender's targets.
-  const auto self_it = std::find(senders_targets.begin(),
-                                 senders_targets.end(), self);
-  CTS_CHECK(self_it != senders_targets.end());
-  const std::size_t self_idx =
-      static_cast<std::size_t>(self_it - senders_targets.begin());
-  const std::uint64_t my_value_len = packet.iv_lengths[self_idx];
-  const NodeMask my_file = WithoutNode(group, self);
-  const SegmentSpan wanted =
-      SegmentOf(my_value_len, r, SegmentPosition(my_file, sender));
-
-  // Cancel the r-1 segments I know (paper eq. (10)).
-  std::vector<std::uint8_t> work(packet.payload);
-  for (std::size_t i = 0; i < senders_targets.size(); ++i) {
-    const NodeId t = senders_targets[i];
-    if (t == self) continue;
-    const NodeMask file = WithoutNode(group, t);
-    const std::span<const std::uint8_t> value = iv(t, file);
-    CTS_CHECK_MSG(value.size() == packet.iv_lengths[i],
-                  "side-information length mismatch for target "
-                      << t << ": have " << value.size() << " header says "
-                      << packet.iv_lengths[i]);
-    const SegmentSpan span =
-        SegmentOf(value.size(), r, SegmentPosition(file, sender));
-    XorInto(work, value.subspan(span.offset, span.length));
-    if (stats != nullptr) stats->decode_xor_bytes += span.length;
-  }
-
-  // After cancellation only my segment remains; anything beyond its
-  // length must be residual zero padding, or the codec is inconsistent.
-  CTS_CHECK_GE(work.size(), wanted.length);
-  for (std::size_t i = wanted.length; i < work.size(); ++i) {
-    CTS_CHECK_MSG(work[i] == 0,
-                  "nonzero padding residue at byte "
-                      << i << " decoding packet from " << sender);
-  }
-  work.resize(wanted.length);
-
-  if (stats != nullptr) {
-    ++stats->packets_decoded;
-    stats->decoded_bytes += wanted.length;
-  }
-  return DecodedSegment{wanted, std::move(work)};
+  std::vector<NodeId> targets;
+  DecodedSegment segment{
+      WantedOf(group, self, sender, packet.iv_lengths, &targets).span, {}};
+  segment.bytes.resize(segment.span.length);
+  DecodeInto(group, self, sender, packet.iv_lengths, packet.payload, iv,
+             ValueBytes{segment.bytes, {}}, stats);
+  return segment;
 }
 
 std::vector<std::uint8_t> MergeSegments(
@@ -156,6 +232,53 @@ std::vector<std::uint8_t> MergeSegments(
   CTS_CHECK_MSG(covered == total, "segments cover " << covered << " of "
                                                     << total << " bytes");
   return value;
+}
+
+ValueBytes ValueBytes::subrange(std::size_t offset,
+                                std::size_t length) const {
+  CTS_CHECK_LE(offset + length, size());
+  const std::size_t h = head.size();
+  const std::size_t end = offset + length;
+  const std::size_t head_begin = std::min(offset, h);
+  const std::size_t body_begin = std::max(offset, h) - h;
+  return {head.subspan(head_begin, std::min(end, h) - head_begin),
+          body.subspan(body_begin, std::max(end, h) - h - body_begin)};
+}
+
+std::uint64_t DecodeGroup(
+    NodeMask group, NodeId self, std::span<const CodedPacketView> packets,
+    const IvAccess& iv,
+    const std::function<ValueBytes(std::uint64_t)>& place,
+    CodecStats* stats) {
+  CTS_CHECK_MSG(Contains(group, self),
+                "decoder node " << self << " not in group " << group);
+  const std::vector<NodeId> senders = MaskToNodes(WithoutNode(group, self));
+  CTS_CHECK_EQ(packets.size(), senders.size());
+  CTS_CHECK_GE(senders.size(), std::size_t{1});
+  std::vector<NodeId> targets;
+  const std::uint64_t length =
+      WantedOf(group, self, senders[0], packets[0].iv_lengths, &targets)
+          .value_length;
+  const ValueBytes value = place(length);
+  CTS_CHECK_EQ(value.size(), length);
+  std::uint64_t covered = 0;
+  for (std::size_t i = 0; i < senders.size(); ++i) {
+    const Wanted wanted =
+        WantedOf(group, self, senders[i], packets[i].iv_lengths, &targets);
+    CTS_CHECK_MSG(wanted.value_length == length,
+                  "packet from " << senders[i] << " gives value length "
+                                 << wanted.value_length << ", packet from "
+                                 << senders[0] << " gives " << length);
+    DecodeInto(group, self, senders[i], packets[i].iv_lengths,
+               packets[i].payload, iv,
+               value.subrange(wanted.span.offset, wanted.span.length),
+               stats);
+    covered += wanted.span.length;
+  }
+  // Segments of one value are disjoint and cover it exactly.
+  CTS_CHECK_MSG(covered == length, "segments cover " << covered << " of "
+                                                     << length << " bytes");
+  return length;
 }
 
 }  // namespace cts

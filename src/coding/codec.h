@@ -39,6 +39,17 @@ namespace cts {
 using IvAccess =
     std::function<std::span<const std::uint8_t>(NodeId target, NodeMask file)>;
 
+// A coded packet read in place: the header's lengths decoded, the
+// payload a view into the wire buffer it was parsed from. Valid while
+// that buffer lives unmodified.
+struct CodedPacketView {
+  std::vector<std::uint64_t> iv_lengths;
+  std::span<const std::uint8_t> payload;
+
+  // Parses one packet at `in`'s cursor, leaving the cursor after it.
+  static CodedPacketView Parse(Buffer& in);
+};
+
 // One coded multicast packet (wire format: u32 count, count u64
 // lengths, u64 payload size, payload bytes).
 struct CodedPacket {
@@ -49,6 +60,8 @@ struct CodedPacket {
   std::vector<std::uint8_t> payload;
 
   void serialize(Buffer& out) const;
+  // An owning copy of the packet at `in`'s cursor (CodedPacketView::
+  // Parse without the copy is what the node programs use).
   static CodedPacket deserialize(Buffer& in);
 
   // Bytes this packet occupies on the wire.
@@ -104,5 +117,37 @@ DecodedSegment DecodePacket(NodeMask group, NodeId self, NodeId sender,
 // serialized value I^self_{M\{self}}. Checks exact coverage.
 std::vector<std::uint8_t> MergeSegments(
     std::span<const DecodedSegment> segments);
+
+// Writable bytes of a value that may span two buffers: the value's
+// first head.size() bytes, then body.
+struct ValueBytes {
+  std::span<std::uint8_t> head;
+  std::span<std::uint8_t> body;
+
+  std::size_t size() const { return head.size() + body.size(); }
+  // Bytes [offset, offset + length) of the value.
+  ValueBytes subrange(std::size_t offset, std::size_t length) const;
+};
+
+// Algorithm 2 for a whole group, with no copy of the value between
+// the wire and its destination: node `self` decodes the r packets it
+// received in `group`, packets[i] multicast by the i-th member of
+// group \ {self} in ascending order. Every header must give the same
+// length L for I^self_{M\{self}}; `place(L)` returns the L bytes the
+// value goes to.
+//
+// Who owns which bytes: the packets' payloads stay in the caller's
+// wire buffers and are only read. Each packet's wanted segment is
+// copied from its payload into its place in the caller's ValueBytes,
+// and the r-1 known side segments (read through `iv`, owned by the
+// caller's Encode state) are XORed out there. The payload bytes past
+// the wanted segment are cancelled in one small scratch buffer and
+// must come out zero (the padding-residue check). The segments must
+// cover the value exactly. Returns L.
+std::uint64_t DecodeGroup(
+    NodeMask group, NodeId self, std::span<const CodedPacketView> packets,
+    const IvAccess& iv,
+    const std::function<ValueBytes(std::uint64_t)>& place,
+    CodecStats* stats = nullptr);
 
 }  // namespace cts

@@ -1,6 +1,7 @@
 #include "driver/partition_util.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/check.h"
@@ -45,6 +46,35 @@ SampledPartitioner BuildDistributedSampledPartitioner(
   CTS_CHECK_MSG(!combined.empty() || comm.size() == 1,
                 "distributed sample is empty");
   return SampledPartitioner::FromSample(combined, comm.size());
+}
+
+std::size_t PartitionShare(std::uint64_t records, int partitions) {
+  CTS_CHECK_GE(partitions, 1);
+  const double share =
+      static_cast<double>(records) / static_cast<double>(partitions);
+  return static_cast<std::size_t>(share + 4 * std::sqrt(share)) + 16;
+}
+
+void MapRecords(const TeraGen& gen, const RecordRange& range,
+                const Partitioner& partitioner,
+                std::span<std::vector<Record>* const> buckets) {
+  CTS_CHECK_EQ(buckets.size(),
+               static_cast<std::size_t>(partitioner.num_partitions()));
+  const std::size_t share =
+      PartitionShare(range.count, partitioner.num_partitions());
+  for (std::vector<Record>* bucket : buckets) {
+    if (bucket == nullptr) continue;
+    if (bucket->capacity() - bucket->size() < share) {
+      bucket->reserve(std::max(bucket->size() + share, 2 * bucket->capacity()));
+    }
+  }
+  const std::uint64_t end = range.offset + range.count;
+  for (std::uint64_t i = range.offset; i < end; ++i) {
+    const Record rec = gen.record(i);
+    std::vector<Record>* bucket =
+        buckets[static_cast<std::size_t>(partitioner.partition(rec.key))];
+    if (bucket != nullptr) bucket->push_back(rec);
+  }
 }
 
 std::unique_ptr<Partitioner> MakePartitioner(const SortConfig& config) {

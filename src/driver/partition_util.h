@@ -6,9 +6,12 @@
 // communication (tests additionally verify the serialize/ship path).
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "coding/placement.h"
 #include "driver/run_result.h"
 #include "keyvalue/partitioner.h"
 #include "keyvalue/teragen.h"
@@ -33,5 +36,23 @@ SampledPartitioner BuildDistributedSampledPartitioner(
     simmpi::Comm& comm, const TeraGen& gen,
     const std::vector<std::pair<std::uint64_t, std::uint64_t>>& local_ranges,
     std::uint64_t samples);
+
+// Records one of `partitions` partitions of `records` uniform keys
+// holds, with room for sampling noise: the even share plus four
+// standard deviations of a binomial count, plus 16. Skewed inputs can
+// exceed it; it sizes reservations, never correctness.
+std::size_t PartitionShare(std::uint64_t records, int partitions);
+
+// The Map stage's record loop, shared by both node programs: generates
+// records [range.offset, range.offset + range.count) of `gen` and
+// appends each straight to buckets[partition(key)], dropping records
+// whose bucket pointer is null. Every bucket first gets room for its
+// PartitionShare of the range (a bucket with that much spare capacity
+// is left as is), so on balanced inputs no bucket reallocates; one
+// that outgrows its share grows geometrically. `buckets` has one entry
+// per partition.
+void MapRecords(const TeraGen& gen, const RecordRange& range,
+                const Partitioner& partitioner,
+                std::span<std::vector<Record>* const> buckets);
 
 }  // namespace cts

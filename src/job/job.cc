@@ -1,9 +1,11 @@
 #include "job/job.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
 #include "common/check.h"
+#include "common/types.h"
 #include "job/registry.h"
 #include "obs/metrics.h"
 #include "simulate/simulate.h"
@@ -186,7 +188,43 @@ std::shared_ptr<const simscen::ScenarioRun> RunCache::GetScenarioRun(
   return built;
 }
 
+std::string ValidateSpec(const JobSpec& spec) {
+  const AlgorithmInfo* info = Find(spec.algorithm);
+  if (info == nullptr) return "unknown algorithm '" + spec.algorithm + "'";
+  const SortConfig& c = spec.config;
+  const std::string K = std::to_string(c.num_nodes);
+  if (c.num_nodes < 1) return "num_nodes must be >= 1, got " + K;
+  if (c.num_records == 0 && spec.backend != Backend::kLive) {
+    return std::string("num_records must be > 0 on the ") +
+           BackendName(spec.backend) +
+           " backend, which scales by the executed record count";
+  }
+  const bool replicated =
+      std::find(info->knobs.begin(), info->knobs.end(), "redundancy") !=
+      info->knobs.end();
+  if (!replicated) return "";
+  if (c.redundancy < 1 || c.redundancy > c.num_nodes) {
+    return "redundancy must satisfy 1 <= r <= K=" + K + " for " +
+           spec.algorithm + ", got r=" + std::to_string(c.redundancy);
+  }
+  if (c.num_nodes > kMaxNodes && spec.backend != Backend::kSimulated) {
+    return spec.algorithm + " places files by " +
+           std::to_string(kMaxNodes) + "-bit node masks, so K=" + K +
+           " > " + std::to_string(kMaxNodes) +
+           " runs only on the simulated backend";
+  }
+  return "";
+}
+
 JobResult RunJob(const JobSpec& spec, RunCache& cache) {
+  if (std::string error = ValidateSpec(spec); !error.empty()) {
+    JobResult result;
+    result.spec = spec;
+    result.algorithm = spec.algorithm;
+    result.error = std::move(error);
+    result.metrics_snapshot = obs::MetricRegistry::Global().Snapshot();
+    return result;
+  }
   const AlgorithmInfo& info = FindOrDie(spec.algorithm);
   // kPriced/kSimulated are the closed-form backends; they have no way
   // to honor a scenario, and silently ignoring one would label an

@@ -86,9 +86,9 @@ struct JobResult {
   JobSpec spec;
   std::string algorithm;  // display name, e.g. "CodedTeraSort"
   bool priced = false;    // whether the breakdown is paper-scale
-  // Non-empty when the backend could not produce a result for this
-  // spec (Backend::kSimulated only); every other field except `spec`
-  // and `algorithm` is then default-valued.
+  // Non-empty when the spec cannot run (ValidateSpec) or the backend
+  // could not produce a result for it (Backend::kSimulated); every
+  // other field except `spec` and `algorithm` is then default-valued.
   std::string error;
   // The measured run (shared with the RunCache when one was used).
   std::shared_ptr<const AlgorithmResult> execution;
@@ -191,6 +191,18 @@ class RunCache {
   int executions_ = 0;
   int hits_ = 0;
 };
+
+// Why `spec` cannot run, or empty when it can. RunJob returns the
+// reason as JobResult::error before executing anything, on every
+// backend, so a bad spec never aborts the process:
+//  * an unknown algorithm, or num_nodes < 1;
+//  * num_records == 0 on a backend that prices (all but kLive): paper
+//    scaling divides by the executed record count;
+//  * for algorithms with a redundancy knob (coded, cmr): redundancy
+//    outside [1, num_nodes], or num_nodes > kMaxNodes on a backend that
+//    executes (all but kSimulated), since their placements index
+//    files by 64-bit node masks.
+std::string ValidateSpec(const JobSpec& spec);
 
 // Evaluates one cell. The overload without a cache executes the run
 // itself (every call pays the live execution).

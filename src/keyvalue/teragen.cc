@@ -1,13 +1,15 @@
 #include "keyvalue/teragen.h"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 namespace cts {
 
 namespace {
+
+// Lanes 3..13 fill value blocks 1..11; lane 2 is unused.
+constexpr int kFillerLanes = 11;
+constexpr std::uint64_t kFirstFillerLane = 3;
 
 // Per-record 64-bit stream: h(seed, index, lane). Independent lanes let
 // key and value bytes come from decorrelated streams.
@@ -34,17 +36,32 @@ void StoreLe64(std::uint8_t* bytes, std::uint64_t v) {
   std::memcpy(bytes, &v, sizeof(v));
 }
 
+// Byte j of `bytes` is bits 56-8j..63-8j of v.
+void StoreBe64(std::uint8_t* bytes, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(bytes, &v, sizeof(v));
+}
+
 }  // namespace
 
 Record TeraGen::record(std::uint64_t index) const {
-  Record rec{};
+  // Every lane hash first, with no stores in between, so the 13
+  // independent multiply chains overlap in the pipeline.
+  const std::uint64_t key_hash = RecordHash(seed_, index, /*lane=*/0);
+  const std::uint64_t suffix_hash = RecordHash(seed_, index, /*lane=*/1);
+  std::uint64_t filler[kFillerLanes];
+  for (int b = 0; b < kFillerLanes; ++b) {
+    filler[b] = RecordHash(seed_, index,
+                           kFirstFillerLane + static_cast<std::uint64_t>(b));
+  }
 
   // --- Key ---
-  const std::uint64_t h = RecordHash(seed_, index, /*lane=*/0);
   std::uint64_t prefix = 0;
   switch (dist_) {
     case KeyDistribution::kUniform:
-      prefix = h;
+      prefix = key_hash;
       break;
     case KeyDistribution::kSorted:
       prefix = index;
@@ -55,14 +72,14 @@ Record TeraGen::record(std::uint64_t index) const {
     case KeyDistribution::kSkewed: {
       // u^4 pushes mass toward the low end of the key domain; the
       // highest-keyed partition ends up nearly empty.
-      const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
+      const double u = static_cast<double>(key_hash >> 11) * 0x1.0p-53;
       const double skewed = u * u * u * u;
       prefix = static_cast<std::uint64_t>(
           skewed * 18446744073709549568.0);  // ~2^64, rounds below max
       break;
     }
     case KeyDistribution::kFewDistinct:
-      prefix = (h & 0xffu) << 56;
+      prefix = (key_hash & 0xffu) << 56;
       break;
     case KeyDistribution::kBalanced:
       // Weyl sequence with the golden-ratio multiplier (odd, hence a
@@ -72,29 +89,28 @@ Record TeraGen::record(std::uint64_t index) const {
       prefix = index * 0x9e3779b97f4a7c15ULL;
       break;
   }
+  Record rec;
   // Low 2 key bytes disambiguate records sharing a prefix.
-  const auto suffix = static_cast<std::uint16_t>(RecordHash(seed_, index, 1));
-  rec.key = MakeKey(prefix, suffix);
+  StoreBe64(rec.key.data(), prefix);
+  rec.key[8] = static_cast<std::uint8_t>(suffix_hash >> 8);
+  rec.key[9] = static_cast<std::uint8_t>(suffix_hash);
 
   // --- Value ---
   // Hadoop TeraGen writes the row id followed by printable filler; we
   // keep that shape: 8 bytes of big-endian row id, then pseudo-random
-  // printable ASCII so values differ record-to-record.
-  for (int i = 0; i < 8; ++i) {
-    rec.value[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(index >> (8 * (7 - i)));
+  // printable ASCII so values differ record-to-record. Filler block b
+  // (value bytes 8b..8b+7, the last one cut to 2 bytes) is 'A' plus the
+  // low 8 nibbles of lane 2 + b, low nibble first.
+  StoreBe64(rec.value.data(), index);
+  for (int b = 0; b < kFillerLanes - 1; ++b) {
+    StoreLe64(rec.value.data() + 8 * (b + 1),
+              SpreadNibbles(filler[b]) + 0x4141414141414141ULL);
   }
-  // Filler block b (value bytes 8b..8b+7, the last one cut to 2 bytes)
-  // is 'A' plus the low 8 nibbles of lane 2 + b, low nibble first.
-  for (std::size_t off = 8; off < kValueBytes; off += 8) {
-    const std::uint64_t block =
-        SpreadNibbles(RecordHash(seed_, index, /*lane=*/2 + off / 8)) +
-        0x4141414141414141ULL;
-    std::uint8_t bytes[8];
-    StoreLe64(bytes, block);
-    std::memcpy(rec.value.data() + off, bytes,
-                std::min<std::size_t>(8, kValueBytes - off));
-  }
+  std::uint8_t last[8];
+  StoreLe64(last, SpreadNibbles(filler[kFillerLanes - 1]) +
+                      0x4141414141414141ULL);
+  std::memcpy(rec.value.data() + 8 * kFillerLanes, last,
+              kValueBytes - 8 * kFillerLanes);
   return rec;
 }
 

@@ -19,7 +19,11 @@
 //  * value bytes 0..7: the big-endian row id `index`;
 //  * value bytes 8b..8b+7 for b = 1..10, and bytes 88..89 for b = 11:
 //    byte 8b+j is 'A' + nibble j of h(2 + b), low nibble first.
-// The GoldenRecordBytes test (keyvalue_test) pins these bytes.
+// Lane 2 is unused. record() computes all 13 lane hashes before it
+// stores a byte, so their independent multiply chains overlap; the
+// layout above is unchanged by that. The GoldenRecordBytes test
+// (keyvalue_test) and LiveGolden.TeraGenEdgeIndicesArePinned
+// (live_golden_test, indices 0, 2^63 and 2^64-1) pin these bytes.
 #pragma once
 
 #include <cstdint>

@@ -57,12 +57,10 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
 
   // ---- Map ----
   stages.run(stage::kMap, [&] {
-    const auto records = gen.generate(my_range.offset, my_range.count);
-    for (const Record& rec : records) {
-      const PartitionId p = partitioner->partition(rec.key);
-      hashed[static_cast<std::size_t>(p)].push_back(rec);
-    }
-    work.map_bytes += records.size() * kRecordBytes;
+    std::vector<std::vector<Record>*> buckets;
+    for (auto& bucket : hashed) buckets.push_back(&bucket);
+    MapRecords(gen, my_range, *partitioner, buckets);
+    work.map_bytes += my_range.count * kRecordBytes;
     work.map_files += 1;
   });
 
@@ -70,8 +68,10 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   stages.run(stage::kPack, [&] {
     for (int j = 0; j < K; ++j) {
       if (j == self) continue;
-      work.pack_bytes += PackRecords(hashed[static_cast<std::size_t>(j)],
-                                     packed[static_cast<std::size_t>(j)]);
+      auto& bucket = hashed[static_cast<std::size_t>(j)];
+      work.pack_bytes +=
+          PackRecords(bucket, packed[static_cast<std::size_t>(j)]);
+      bucket = {};  // the packed copy is what gets sent
     }
   });
 
@@ -117,6 +117,11 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   // ---- Unpack ----
   std::vector<Record> pool;
   stages.run(stage::kUnpack, [&] {
+    // Room for every received list and, in Reduce, this node's own
+    // bucket: a packed list of n records is 8 + 100n bytes.
+    std::size_t total = hashed[static_cast<std::size_t>(self)].size();
+    for (const Buffer& buf : received) total += buf.size() / kRecordBytes;
+    pool.reserve(total);
     for (int sender = 0; sender < K; ++sender) {
       if (sender == self) continue;
       auto& buf = received[static_cast<std::size_t>(sender)];

@@ -2,6 +2,7 @@
 // including the paper's worked examples (Figs. 4-7).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <set>
@@ -207,9 +208,36 @@ void CheckGroupRoundTrip(NodeMask group, const FakeIvStore& store) {
           DecodePacket(group, k, u, packets.at(u), store.access(), &stats));
     }
     ASSERT_EQ(segments.size(), static_cast<std::size_t>(r));
+    const auto& wanted = store.value(k, WithoutNode(group, k));
     const auto merged = MergeSegments(segments);
-    EXPECT_EQ(merged, store.value(k, WithoutNode(group, k)))
-        << "node " << k << " in group " << group;
+    EXPECT_EQ(merged, wanted) << "node " << k << " in group " << group;
+
+    // DecodeGroup from the wire, with the value split over two buffers
+    // at every head size, must give the same bytes.
+    std::vector<Buffer> wires;
+    for (const NodeId u : members) {
+      if (u == k) continue;
+      wires.emplace_back();
+      packets.at(u).serialize(wires.back());
+    }
+    for (std::size_t head = 0; head <= wanted.size(); ++head) {
+      std::vector<CodedPacketView> views;
+      for (Buffer& wire : wires) {
+        wire.rewind();
+        views.push_back(CodedPacketView::Parse(wire));
+      }
+      std::vector<std::uint8_t> value;
+      const std::uint64_t length = DecodeGroup(
+          group, k, views, store.access(), [&](std::uint64_t len) {
+            value.resize(len);
+            const std::size_t h = std::min<std::size_t>(head, len);
+            return ValueBytes{std::span(value).first(h),
+                              std::span(value).subspan(h)};
+          });
+      EXPECT_EQ(length, wanted.size());
+      EXPECT_EQ(value, wanted) << "node " << k << " in group " << group
+                               << " head " << head;
+    }
   }
 }
 
@@ -322,6 +350,35 @@ TEST(Codec, DecodeDetectsCorruptedSideInformation) {
   const FakeIvStore bad(3, 2, /*seed=*/2);  // different sizes/content
   const CodedPacket packet = EncodePacket(group, 0, good.access());
   EXPECT_THROW(DecodePacket(group, 1, 0, packet, bad.access()), CheckError);
+}
+
+TEST(Codec, DecodeGroupChecksHeadersAndSideInformation) {
+  const NodeMask group = NodesToMask({0, 1, 2});
+  const FakeIvStore good(3, 2, /*seed=*/1);
+  const FakeIvStore bad(3, 2, /*seed=*/2);  // different sizes/content
+  std::vector<Buffer> wires(2);
+  EncodePacket(group, 1, good.access()).serialize(wires[0]);
+  EncodePacket(group, 2, good.access()).serialize(wires[1]);
+  std::vector<CodedPacketView> views;
+  for (Buffer& wire : wires) views.push_back(CodedPacketView::Parse(wire));
+  std::vector<std::uint8_t> value;
+  const auto place = [&](std::uint64_t len) {
+    value.resize(len);
+    return ValueBytes{value, {}};
+  };
+  EXPECT_THROW(DecodeGroup(group, 0, views, bad.access(), place),
+               CheckError);
+  // The two headers must agree on the wanted value's length.
+  views[1].iv_lengths[0] += 1;
+  EXPECT_THROW(DecodeGroup(group, 0, views, good.access(), place),
+               CheckError);
+  views[1].iv_lengths[0] -= 1;
+  EXPECT_NO_THROW(DecodeGroup(group, 0, views, good.access(), place));
+  EXPECT_EQ(value, good.value(0, WithoutNode(group, 0)));
+  // One packet per other member.
+  EXPECT_THROW(DecodeGroup(group, 0, std::span(views).first(1),
+                           good.access(), place),
+               CheckError);
 }
 
 TEST(Codec, MergeRejectsGaps) {

@@ -159,6 +159,88 @@ TEST(Job, PricedBackendRejectsScenarios) {
   EXPECT_THROW((void)RunMatrix(m), CheckError);
 }
 
+constexpr Backend kAllBackends[] = {Backend::kLive, Backend::kPriced,
+                                    Backend::kReplay, Backend::kSimulated};
+
+// RunJob on a spec that fails ValidateSpec: the reason comes back as
+// JobResult::error and nothing executes.
+void ExpectSpecError(const JobSpec& spec, const std::string& needle) {
+  SCOPED_TRACE(std::string(BackendName(spec.backend)) + " " + spec.algorithm);
+  const std::string reason = ValidateSpec(spec);
+  EXPECT_NE(reason.find(needle), std::string::npos) << reason;
+  RunCache cache;
+  const JobResult result = RunJob(spec, cache);
+  EXPECT_EQ(result.error, reason);
+  EXPECT_EQ(result.execution, nullptr);
+  EXPECT_EQ(cache.executions(), 0);
+}
+
+TEST(ValidateSpec, ZeroRecordsFailOnPricingBackends) {
+  JobSpec spec;
+  spec.config = SmallConfig(2);
+  spec.config.num_records = 0;
+  for (const char* algo : {"terasort", "coded"}) {
+    spec.algorithm = algo;
+    for (const Backend backend : kAllBackends) {
+      spec.backend = backend;
+      if (backend == Backend::kLive) {
+        EXPECT_EQ(ValidateSpec(spec), "");
+      } else {
+        ExpectSpecError(spec, "num_records must be > 0");
+      }
+    }
+  }
+}
+
+TEST(ValidateSpec, RedundancyOutsideOneToKFailsOnEveryBackend) {
+  JobSpec spec;
+  for (const int r : {0, -1, 5}) {
+    spec.config = SmallConfig(r);
+    for (const char* algo : {"coded", "cmr"}) {
+      spec.algorithm = algo;
+      for (const Backend backend : kAllBackends) {
+        spec.backend = backend;
+        ExpectSpecError(spec, "redundancy must satisfy 1 <= r <= K=4");
+      }
+    }
+    // Plain TeraSort ignores r.
+    spec.algorithm = "terasort";
+    spec.backend = Backend::kPriced;
+    EXPECT_EQ(ValidateSpec(spec), "");
+  }
+}
+
+TEST(ValidateSpec, ReplicatedAlgorithmsPastMaskWidthFailWhereTheyExecute) {
+  JobSpec spec;
+  spec.config = SmallConfig(2);
+  spec.config.num_nodes = kMaxNodes + 1;
+  for (const char* algo : {"coded", "cmr"}) {
+    spec.algorithm = algo;
+    for (const Backend backend : kAllBackends) {
+      spec.backend = backend;
+      if (backend == Backend::kSimulated) {
+        // Synthesized placements are not mask-indexed.
+        EXPECT_EQ(ValidateSpec(spec), "");
+      } else {
+        ExpectSpecError(spec, "64-bit node masks");
+      }
+    }
+  }
+  spec.algorithm = "terasort";
+  spec.backend = Backend::kLive;
+  EXPECT_EQ(ValidateSpec(spec), "");
+}
+
+TEST(ValidateSpec, UnknownAlgorithmAndNoNodes) {
+  JobSpec spec;
+  spec.config = SmallConfig(1);
+  spec.algorithm = "terasrot";
+  ExpectSpecError(spec, "unknown algorithm 'terasrot'");
+  spec.algorithm = "terasort";
+  spec.config.num_nodes = 0;
+  ExpectSpecError(spec, "num_nodes must be >= 1");
+}
+
 // The matrix memoizes the live execution per (algorithm, SortConfig)
 // key: scenarios × policies are replays of one measured run, and a
 // duplicate algorithm entry under a different label costs nothing.

@@ -345,6 +345,40 @@ TEST(RecordIO, TruncatedBufferThrows) {
   EXPECT_THROW(UnpackRecords(b), CheckError);
 }
 
+// InPlaceUnpack appends what UnpackRecordsInto appends, from bytes the
+// caller writes, and keeps its truncation check.
+TEST(RecordIO, InPlaceUnpackMatchesUnpackRecordsInto) {
+  const TeraGen gen(5);
+  const auto first = gen.generate(0, 3);
+  const auto list = gen.generate(3, 7);
+  Buffer packed;
+  PackRecords(list, packed);
+  // A list followed by stray bytes: both unpackers read only its count.
+  packed.write_u64(0xabcdef);
+  const std::span<const std::uint8_t> bytes = packed.span();
+
+  std::vector<Record> expected = first;
+  Buffer in = packed.Clone();
+  UnpackRecordsInto(in, expected);
+
+  std::vector<Record> got = first;
+  InPlaceUnpack sink(got, bytes.size());
+  ASSERT_EQ(sink.count_bytes().size(), sizeof(std::uint64_t));
+  ASSERT_EQ(sink.record_bytes().size(), bytes.size() - sizeof(std::uint64_t));
+  std::copy(bytes.begin(), bytes.begin() + 8, sink.count_bytes().begin());
+  std::copy(bytes.begin() + 8, bytes.end(), sink.record_bytes().begin());
+  sink.Finish();
+  EXPECT_EQ(got, expected);
+
+  // A count the bytes cannot hold, and a list too short for its count
+  // header, fail as UnpackRecordsInto does.
+  std::vector<Record> pool;
+  InPlaceUnpack truncated(pool, 8 + 2 * kRecordBytes);
+  truncated.count_bytes()[0] = 3;
+  EXPECT_THROW(truncated.Finish(), CheckError);
+  EXPECT_THROW(InPlaceUnpack(pool, 7), CheckError);
+}
+
 TEST(RecordIO, IsSortedPermutationDetectsReordering) {
   const TeraGen gen(5);
   auto recs = gen.generate(0, 100);
@@ -395,6 +429,31 @@ TEST(SortRecords, MatchesStdSortWithDuplicatesAndTinyInputs) {
   ExpectSortsLikeStdSort({recs[1], recs[0]});
   ExpectSortsLikeStdSort({recs[0], recs[1]});
   ExpectSortsLikeStdSort({recs[2], recs[2]});
+}
+
+// The bucket pass keys on the bits below those every prefix shares:
+// one reducer's key range, prefixes differing only in their low bits,
+// and prefixes differing only in the top bit.
+TEST(SortRecords, MatchesStdSortWhenPrefixesShareHighBits) {
+  const RangePartitioner part(4);
+  std::vector<Record> range;
+  for (const Record& rec : TeraGen(7).generate(0, 20000)) {
+    if (part.partition(rec.key) == 2) range.push_back(rec);
+  }
+  ExpectSortsLikeStdSort(range);
+  std::vector<Record> low_bits = TeraGen(7).generate(0, 5000);
+  for (std::size_t i = 0; i < low_bits.size(); ++i) {
+    const std::uint64_t prefix = 0x1234567890abc000ULL + (i * 2654435761u) % 97;
+    const Key key = MakeKey(prefix, low_bits[i].key[8]);
+    low_bits[i].key = key;
+  }
+  ExpectSortsLikeStdSort(low_bits);
+  std::vector<Record> top_bit = TeraGen(7).generate(0, 1000);
+  for (std::size_t i = 0; i < top_bit.size(); ++i) {
+    top_bit[i].key = MakeKey(i % 2 == 0 ? 0 : std::uint64_t{1} << 63,
+                             static_cast<std::uint16_t>(i));
+  }
+  ExpectSortsLikeStdSort(top_bit);
 }
 
 TEST(RecordIO, IsSortedPermutationRejectsSizeMismatch) {

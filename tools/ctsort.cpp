@@ -373,6 +373,24 @@ int main(int argc, char** argv) {
   }
   const bool print_metrics = flags.GetBool("metrics");
   flags.CheckAllConsumed();
+  // A spec no backend can run fails here, before anything executes,
+  // with the reason RunJob would return as JobResult::error.
+  if (!simulated) {
+    for (const std::string& name : algos) {
+      job::JobSpec spec;
+      spec.algorithm = name;
+      spec.config = config;
+      for (const job::Backend backend :
+           {job::Backend::kLive, job::Backend::kPriced}) {
+        spec.backend = backend;
+        if (const std::string error = job::ValidateSpec(spec);
+            !error.empty()) {
+          std::cerr << "ctsort: " << error << "\n";
+          return 1;
+        }
+      }
+    }
+  }
 
   std::cout << "ctsort: K=" << config.num_nodes << " r=" << config.redundancy
             << " records=" << config.num_records << " ("
