@@ -52,7 +52,7 @@ std::size_t PartitionShare(std::uint64_t records, int partitions) {
   CTS_CHECK_GE(partitions, 1);
   const double share =
       static_cast<double>(records) / static_cast<double>(partitions);
-  return static_cast<std::size_t>(share + 4 * std::sqrt(share)) + 16;
+  return static_cast<std::size_t>(share + 4 * std::sqrt(share));
 }
 
 void MapRecords(const TeraGen& gen, const RecordRange& range,
@@ -60,10 +60,16 @@ void MapRecords(const TeraGen& gen, const RecordRange& range,
                 std::span<std::vector<Record>* const> buckets) {
   CTS_CHECK_EQ(buckets.size(),
                static_cast<std::size_t>(partitioner.num_partitions()));
-  const std::size_t share =
-      PartitionShare(range.count, partitioner.num_partitions());
+  // Below 256 records a bucket's 4σ slack exceeds a quarter of its
+  // share, more than vector growth wastes on average; such buckets
+  // just grow.
+  constexpr std::uint64_t kMinReservedShare = 256;
+  const int parts = partitioner.num_partitions();
+  const std::size_t share = PartitionShare(range.count, parts);
   for (std::vector<Record>* bucket : buckets) {
-    if (bucket == nullptr) continue;
+    if (bucket == nullptr || range.count / parts < kMinReservedShare) {
+      continue;
+    }
     if (bucket->capacity() - bucket->size() < share) {
       bucket->reserve(std::max(bucket->size() + share, 2 * bucket->capacity()));
     }

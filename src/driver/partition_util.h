@@ -39,18 +39,19 @@ SampledPartitioner BuildDistributedSampledPartitioner(
 
 // Records one of `partitions` partitions of `records` uniform keys
 // holds, with room for sampling noise: the even share plus four
-// standard deviations of a binomial count, plus 16. Skewed inputs can
-// exceed it; it sizes reservations, never correctness.
+// standard deviations of a binomial count. Skewed inputs can exceed
+// it; it sizes reservations, never correctness.
 std::size_t PartitionShare(std::uint64_t records, int partitions);
 
 // The Map stage's record loop, shared by both node programs: generates
 // records [range.offset, range.offset + range.count) of `gen` and
 // appends each straight to buckets[partition(key)], dropping records
-// whose bucket pointer is null. Every bucket first gets room for its
-// PartitionShare of the range (a bucket with that much spare capacity
-// is left as is), so on balanced inputs no bucket reallocates; one
-// that outgrows its share grows geometrically. `buckets` has one entry
-// per partition.
+// whose bucket pointer is null. When the even share is at least 256
+// records, every bucket first gets room for its PartitionShare of the
+// range (a bucket with that much spare capacity is left as is), so on
+// balanced inputs no bucket reallocates; one that outgrows its share,
+// or whose share is smaller, grows geometrically. `buckets` has one
+// entry per partition.
 void MapRecords(const TeraGen& gen, const RecordRange& range,
                 const Partitioner& partitioner,
                 std::span<std::vector<Record>* const> buckets);
