@@ -184,20 +184,6 @@ void BM_EncodePacket(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodePacket)->Args({3, 1 << 16})->Args({5, 1 << 16});
 
-void BM_DecodePacket(benchmark::State& state) {
-  const int r = static_cast<int>(state.range(0));
-  const auto iv_bytes = static_cast<std::size_t>(state.range(1));
-  const CodecFixture fx(r, iv_bytes);
-  const CodedPacket packet = EncodePacket(fx.group, 0, fx.access());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        DecodePacket(fx.group, 1, 0, packet, fx.access()));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(iv_bytes));
-}
-BENCHMARK(BM_DecodePacket)->Args({3, 1 << 16})->Args({5, 1 << 16});
-
 // One r=2 group as node 0 of {0, 1, 2} decodes it in CodedTeraSort:
 // the two packets parsed in place from their wire buffers, decoded
 // straight into the records appended to the reduce pool. Each value

@@ -86,6 +86,8 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   std::vector<Record> pool;
   std::map<IvKey, std::vector<Record>> kept;
   stages.run(stage::kMap, [&] {
+    // A skewed input may leave the share mostly unused; that costs
+    // address space only, since reserve touches no page.
     pool.reserve(PartitionShare(config.num_records, K));
     std::vector<std::vector<Record>*> buckets(static_cast<std::size_t>(K));
     for (const FileId f : placement.files_on_node(self)) {

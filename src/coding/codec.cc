@@ -46,68 +46,69 @@ void ApplyTo(const ValueBytes& out, std::span<const std::uint8_t> src,
 }
 
 // What a receiver wants from one packet: the length of its value
-// I^self_{M\{self}} (from the header) and the segment the sender's
-// packet carries.
+// I^self_{M\{self}} (from the header), the segment the sender's packet
+// carries, and the sender's targets (ascending), whose order the
+// header's lengths follow.
 struct Wanted {
   std::uint64_t value_length = 0;
   SegmentSpan span;
+  std::vector<NodeId> targets;
 };
 
-// The sender's targets (ascending) and the receiver's wanted segment.
 // Checks the members and the header's entry count.
 Wanted WantedOf(NodeMask group, NodeId self, NodeId sender,
-                std::span<const std::uint64_t> iv_lengths,
-                std::vector<NodeId>* targets) {
+                std::span<const std::uint64_t> iv_lengths) {
   CTS_CHECK_MSG(Contains(group, self) && Contains(group, sender),
                 "decode members outside group " << group);
   CTS_CHECK_NE(self, sender);
   const int r = Popcount(group) - 1;
-  *targets = MaskToNodes(WithoutNode(group, sender));
-  CTS_CHECK_EQ(iv_lengths.size(), targets->size());
+  Wanted wanted;
+  wanted.targets = MaskToNodes(WithoutNode(group, sender));
+  CTS_CHECK_EQ(iv_lengths.size(), wanted.targets.size());
   // My wanted value is I^self_{M\{self}}; its length travels in the
   // packet header at my position among the sender's targets.
-  const auto self_it = std::find(targets->begin(), targets->end(), self);
-  CTS_CHECK(self_it != targets->end());
-  const std::uint64_t length =
-      iv_lengths[static_cast<std::size_t>(self_it - targets->begin())];
-  return {length, SegmentOf(length, r,
-                            SegmentPosition(WithoutNode(group, self), sender))};
+  const auto self_it =
+      std::find(wanted.targets.begin(), wanted.targets.end(), self);
+  CTS_CHECK(self_it != wanted.targets.end());
+  wanted.value_length =
+      iv_lengths[static_cast<std::size_t>(self_it - wanted.targets.begin())];
+  wanted.span =
+      SegmentOf(wanted.value_length, r,
+                SegmentPosition(WithoutNode(group, self), sender));
+  return wanted;
 }
 
-// Algorithm 2 for one packet: writes the wanted segment to `segment`
-// (exactly its length) and cancels the r-1 known segments there; the
-// payload past the wanted segment is cancelled in a scratch buffer and
-// must be zero padding.
+// Algorithm 2 for one packet whose header DecodeGroup has checked:
+// writes the wanted segment to `segment` (exactly its length) and
+// cancels the r-1 known segments there; the payload past the wanted
+// segment is cancelled in a scratch buffer and must be zero padding.
 void DecodeInto(NodeMask group, NodeId self, NodeId sender,
-                std::span<const std::uint64_t> iv_lengths,
-                std::span<const std::uint8_t> payload, const IvAccess& iv,
-                const ValueBytes& segment, CodecStats* stats) {
-  std::vector<NodeId> targets;
-  const SegmentSpan wanted =
-      WantedOf(group, self, sender, iv_lengths, &targets).span;
+                const Wanted& wanted, const CodedPacketView& packet,
+                const IvAccess& iv, const ValueBytes& segment,
+                CodecStats* stats) {
   const int r = Popcount(group) - 1;
-  CTS_CHECK_EQ(segment.size(), wanted.length);
-  CTS_CHECK_GE(payload.size(), wanted.length);
-  ApplyTo(segment, payload.first(wanted.length), CopyInto);
-  std::vector<std::uint8_t> residue(payload.begin() + wanted.length,
+  const std::uint64_t length = wanted.span.length;
+  const std::span<const std::uint8_t> payload = packet.payload;
+  CTS_CHECK_EQ(segment.size(), length);
+  ApplyTo(segment, payload.first(length), CopyInto);
+  std::vector<std::uint8_t> residue(payload.begin() + length,
                                     payload.end());
 
   // Cancel the r-1 segments I know (paper eq. (10)).
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const NodeId t = targets[i];
+  for (std::size_t i = 0; i < wanted.targets.size(); ++i) {
+    const NodeId t = wanted.targets[i];
     if (t == self) continue;
     const NodeMask file = WithoutNode(group, t);
     const std::span<const std::uint8_t> value = iv(t, file);
-    CTS_CHECK_MSG(value.size() == iv_lengths[i],
+    CTS_CHECK_MSG(value.size() == packet.iv_lengths[i],
                   "side-information length mismatch for target "
                       << t << ": have " << value.size() << " header says "
-                      << iv_lengths[i]);
+                      << packet.iv_lengths[i]);
     const SegmentSpan span =
         SegmentOf(value.size(), r, SegmentPosition(file, sender));
     const auto side = value.subspan(span.offset, span.length);
     CTS_CHECK_GE(payload.size(), side.size());
-    const std::size_t in_segment =
-        std::min<std::size_t>(side.size(), wanted.length);
+    const std::size_t in_segment = std::min<std::size_t>(side.size(), length);
     ApplyTo(segment, side.first(in_segment), XorInto);
     XorInto(residue, side.subspan(in_segment));
     if (stats != nullptr) stats->decode_xor_bytes += span.length;
@@ -118,12 +119,11 @@ void DecodeInto(NodeMask group, NodeId self, NodeId sender,
   for (std::size_t i = 0; i < residue.size(); ++i) {
     CTS_CHECK_MSG(residue[i] == 0,
                   "nonzero padding residue at byte "
-                      << wanted.length + i << " decoding packet from "
-                      << sender);
+                      << length + i << " decoding packet from " << sender);
   }
   if (stats != nullptr) {
     ++stats->packets_decoded;
-    stats->decoded_bytes += wanted.length;
+    stats->decoded_bytes += length;
   }
 }
 
@@ -150,12 +150,6 @@ CodedPacketView CodedPacketView::Parse(Buffer& in) {
                                          << in.remaining());
   p.payload = in.read_view(payload_size);
   return p;
-}
-
-CodedPacket CodedPacket::deserialize(Buffer& in) {
-  CodedPacketView view = CodedPacketView::Parse(in);
-  return {std::move(view.iv_lengths),
-          {view.payload.begin(), view.payload.end()}};
 }
 
 CodedPacket EncodePacket(NodeMask group, NodeId self, const IvAccess& iv,
@@ -202,38 +196,6 @@ CodedPacket EncodePacket(NodeMask group, NodeId self, const IvAccess& iv,
   return packet;
 }
 
-DecodedSegment DecodePacket(NodeMask group, NodeId self, NodeId sender,
-                            const CodedPacket& packet, const IvAccess& iv,
-                            CodecStats* stats) {
-  std::vector<NodeId> targets;
-  DecodedSegment segment{
-      WantedOf(group, self, sender, packet.iv_lengths, &targets).span, {}};
-  segment.bytes.resize(segment.span.length);
-  DecodeInto(group, self, sender, packet.iv_lengths, packet.payload, iv,
-             ValueBytes{segment.bytes, {}}, stats);
-  return segment;
-}
-
-std::vector<std::uint8_t> MergeSegments(
-    std::span<const DecodedSegment> segments) {
-  std::uint64_t total = 0;
-  for (const auto& s : segments) {
-    CTS_CHECK_EQ(s.bytes.size(), s.span.length);
-    total = std::max(total, s.span.offset + s.span.length);
-  }
-  std::vector<std::uint8_t> value(total, 0);
-  std::uint64_t covered = 0;
-  for (const auto& s : segments) {
-    std::copy(s.bytes.begin(), s.bytes.end(),
-              value.begin() + static_cast<long>(s.span.offset));
-    covered += s.span.length;
-  }
-  // Segments of one value are disjoint and cover it exactly.
-  CTS_CHECK_MSG(covered == total, "segments cover " << covered << " of "
-                                                    << total << " bytes");
-  return value;
-}
-
 ValueBytes ValueBytes::subrange(std::size_t offset,
                                 std::size_t length) const {
   CTS_CHECK_LE(offset + length, size());
@@ -255,25 +217,33 @@ std::uint64_t DecodeGroup(
   const std::vector<NodeId> senders = MaskToNodes(WithoutNode(group, self));
   CTS_CHECK_EQ(packets.size(), senders.size());
   CTS_CHECK_GE(senders.size(), std::size_t{1});
-  std::vector<NodeId> targets;
-  const std::uint64_t length =
-      WantedOf(group, self, senders[0], packets[0].iv_lengths, &targets)
-          .value_length;
+  // Every header is checked before `place` sees a length: the
+  // headers agree on it, and each wanted segment fits its payload.
+  std::vector<Wanted> wanted;
+  wanted.reserve(senders.size());
+  for (std::size_t i = 0; i < senders.size(); ++i) {
+    wanted.push_back(
+        WantedOf(group, self, senders[i], packets[i].iv_lengths));
+    CTS_CHECK_MSG(wanted[i].value_length == wanted[0].value_length,
+                  "packet from " << senders[i] << " gives value length "
+                                 << wanted[i].value_length
+                                 << ", packet from " << senders[0]
+                                 << " gives " << wanted[0].value_length);
+    CTS_CHECK_MSG(wanted[i].span.length <= packets[i].payload.size(),
+                  "packet from " << senders[i] << " carries "
+                                 << packets[i].payload.size()
+                                 << " payload bytes, its header wants a "
+                                 << wanted[i].span.length << "-byte segment");
+  }
+  const std::uint64_t length = wanted[0].value_length;
   const ValueBytes value = place(length);
   CTS_CHECK_EQ(value.size(), length);
   std::uint64_t covered = 0;
   for (std::size_t i = 0; i < senders.size(); ++i) {
-    const Wanted wanted =
-        WantedOf(group, self, senders[i], packets[i].iv_lengths, &targets);
-    CTS_CHECK_MSG(wanted.value_length == length,
-                  "packet from " << senders[i] << " gives value length "
-                                 << wanted.value_length << ", packet from "
-                                 << senders[0] << " gives " << length);
-    DecodeInto(group, self, senders[i], packets[i].iv_lengths,
-               packets[i].payload, iv,
-               value.subrange(wanted.span.offset, wanted.span.length),
+    DecodeInto(group, self, senders[i], wanted[i], packets[i], iv,
+               value.subrange(wanted[i].span.offset, wanted[i].span.length),
                stats);
-    covered += wanted.span.length;
+    covered += wanted[i].span.length;
   }
   // Segments of one value are disjoint and cover it exactly.
   CTS_CHECK_MSG(covered == length, "segments cover " << covered << " of "

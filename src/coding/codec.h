@@ -59,10 +59,8 @@ struct CodedPacket {
   // XOR of the zero-padded segments; length == longest segment.
   std::vector<std::uint8_t> payload;
 
+  // Read back with CodedPacketView::Parse.
   void serialize(Buffer& out) const;
-  // An owning copy of the packet at `in`'s cursor (CodedPacketView::
-  // Parse without the copy is what the node programs use).
-  static CodedPacket deserialize(Buffer& in);
 
   // Bytes this packet occupies on the wire.
   std::size_t wire_size() const {
@@ -101,23 +99,6 @@ struct CodecStats {
 CodedPacket EncodePacket(NodeMask group, NodeId self, const IvAccess& iv,
                          CodecStats* stats = nullptr);
 
-// One decoded segment of the receiver's wanted value I^self_{M\{self}}.
-struct DecodedSegment {
-  SegmentSpan span;                 // where it lands within the value
-  std::vector<std::uint8_t> bytes;  // exactly span.length bytes
-};
-
-// Algorithm 2 for one packet: node `self` decodes the packet multicast
-// by `sender` within `group`, cancelling segments via `iv`.
-DecodedSegment DecodePacket(NodeMask group, NodeId self, NodeId sender,
-                            const CodedPacket& packet, const IvAccess& iv,
-                            CodecStats* stats = nullptr);
-
-// Merges the r segments recovered in a group (any order) into the full
-// serialized value I^self_{M\{self}}. Checks exact coverage.
-std::vector<std::uint8_t> MergeSegments(
-    std::span<const DecodedSegment> segments);
-
 // Writable bytes of a value that may span two buffers: the value's
 // first head.size() bytes, then body.
 struct ValueBytes {
@@ -133,8 +114,10 @@ struct ValueBytes {
 // the wire and its destination: node `self` decodes the r packets it
 // received in `group`, packets[i] multicast by the i-th member of
 // group \ {self} in ascending order. Every header must give the same
-// length L for I^self_{M\{self}}; `place(L)` returns the L bytes the
-// value goes to.
+// length L for I^self_{M\{self}}, and each packet's payload must hold
+// the segment its header implies; both are checked before `place(L)`
+// is called, so a corrupt header never sizes the destination. `place`
+// returns the L bytes the value goes to.
 //
 // Who owns which bytes: the packets' payloads stay in the caller's
 // wire buffers and are only read. Each packet's wanted segment is

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "common/check.h"
+#include "job/job.h"
 #include "job/matrix.h"
 #include "job/parse.h"
 #include "job/registry.h"
@@ -31,7 +32,7 @@ std::vector<T> Dedupe(const std::vector<T>& in) {
 
 bool HonorsRedundancy(const std::string& algorithm) {
   const job::AlgorithmInfo* info = job::Find(algorithm);
-  if (info == nullptr) return true;  // unknown name fails later, loudly
+  if (info == nullptr) return true;  // ValidateSpec rejects the name
   return std::find(info->knobs.begin(), info->knobs.end(), "redundancy") !=
          info->knobs.end();
 }
@@ -142,6 +143,18 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
       return fail("no (algorithm, r) candidate fits K = " +
                   std::to_string(num_nodes));
     }
+    // RunJob turns a spec no backend can run into JobResult::error with
+    // a zero makespan; such a cell would price as a free row that meets
+    // every SLO, so refuse the plan before executing anything.
+    for (const job::AlgoAxis& algo : matrix.algos) {
+      job::JobSpec spec;
+      spec.algorithm = algo.algorithm;
+      spec.config = algo.config;
+      spec.backend = matrix.backend;
+      if (std::string error = job::ValidateSpec(spec); !error.empty()) {
+        return fail(algo.label + ": " + error);
+      }
+    }
 
     for (const std::string& topo_spec : topologies) {
       const auto topology =
@@ -206,6 +219,9 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
                   algo.label,
                   row.topology + "|" + spec_label(straggler_spec),
                   row.policy, instance.name);
+              if (!cell.error.empty()) {
+                return fail(algo.label + ": " + cell.error);
+              }
               makespans.push_back(cell.makespan);
               cross_rack_bytes = cell.cross_rack_bytes;
             }

@@ -188,9 +188,33 @@ class FakeIvStore {
   std::map<std::pair<NodeId, NodeMask>, std::vector<std::uint8_t>> store_;
 };
 
+// Node k's wanted value in `group`, decoded by DecodeGroup from the
+// other members' packets read back from the wire.
+std::vector<std::uint8_t> DecodeFromWire(
+    NodeMask group, NodeId k, const std::map<NodeId, CodedPacket>& packets,
+    const IvAccess& iv, CodecStats* stats = nullptr) {
+  std::vector<Buffer> wires;
+  for (const NodeId u : MaskToNodes(WithoutNode(group, k))) {
+    wires.emplace_back();
+    packets.at(u).serialize(wires.back());
+  }
+  std::vector<CodedPacketView> views;
+  for (Buffer& wire : wires) views.push_back(CodedPacketView::Parse(wire));
+  std::vector<std::uint8_t> value;
+  DecodeGroup(
+      group, k, views, iv,
+      [&](std::uint64_t len) {
+        value.resize(len);
+        return ValueBytes{value, {}};
+      },
+      stats);
+  return value;
+}
+
 // End-to-end codec property for one group: every member encodes, every
-// member decodes every other member's packet, and the merged segments
-// equal the wanted intermediate value byte-for-byte.
+// member decodes the other members' packets, and the decoded value
+// equals the wanted intermediate value byte-for-byte, also when it is
+// split over two buffers at any head size.
 void CheckGroupRoundTrip(NodeMask group, const FakeIvStore& store) {
   const auto members = MaskToNodes(group);
   const int r = static_cast<int>(members.size()) - 1;
@@ -200,20 +224,14 @@ void CheckGroupRoundTrip(NodeMask group, const FakeIvStore& store) {
     packets[u] = EncodePacket(group, u, store.access(), &stats);
   }
   EXPECT_EQ(stats.packets_encoded, members.size());
+  std::uint64_t wanted_bytes = 0;
   for (const NodeId k : members) {
-    std::vector<DecodedSegment> segments;
-    for (const NodeId u : members) {
-      if (u == k) continue;
-      segments.push_back(
-          DecodePacket(group, k, u, packets.at(u), store.access(), &stats));
-    }
-    ASSERT_EQ(segments.size(), static_cast<std::size_t>(r));
     const auto& wanted = store.value(k, WithoutNode(group, k));
-    const auto merged = MergeSegments(segments);
-    EXPECT_EQ(merged, wanted) << "node " << k << " in group " << group;
+    wanted_bytes += wanted.size();
+    EXPECT_EQ(DecodeFromWire(group, k, packets, store.access(), &stats),
+              wanted)
+        << "node " << k << " in group " << group;
 
-    // DecodeGroup from the wire, with the value split over two buffers
-    // at every head size, must give the same bytes.
     std::vector<Buffer> wires;
     for (const NodeId u : members) {
       if (u == k) continue;
@@ -239,6 +257,10 @@ void CheckGroupRoundTrip(NodeMask group, const FakeIvStore& store) {
                                << " head " << head;
     }
   }
+  // One decoded packet per (receiver, sender) pair; the segments of
+  // each receiver's value add up to the value.
+  EXPECT_EQ(stats.packets_decoded, members.size() * static_cast<unsigned>(r));
+  EXPECT_EQ(stats.decoded_bytes, wanted_bytes);
 }
 
 class CodecRoundTrip : public ::testing::TestWithParam<std::pair<int, int>> {};
@@ -306,22 +328,29 @@ TEST(Codec, WireFormatRoundTrip) {
   Buffer wire;
   packet.serialize(wire);
   EXPECT_EQ(wire.size(), packet.wire_size());
-  const CodedPacket restored = CodedPacket::deserialize(wire);
-  EXPECT_EQ(restored.iv_lengths, packet.iv_lengths);
-  EXPECT_EQ(restored.payload, packet.payload);
+  const CodedPacketView view = CodedPacketView::Parse(wire);
+  EXPECT_EQ(wire.remaining(), 0u);
+  EXPECT_EQ(view.iv_lengths, packet.iv_lengths);
+  EXPECT_EQ(std::vector<std::uint8_t>(view.payload.begin(),
+                                      view.payload.end()),
+            packet.payload);
 }
 
 TEST(Codec, StatsCountXorWork) {
   const FakeIvStore store(3, 2);
   const NodeMask group = NodesToMask({0, 1, 2});
   CodecStats stats;
-  const CodedPacket packet = EncodePacket(group, 0, store.access(), &stats);
-  EXPECT_EQ(stats.packets_encoded, 1u);
+  std::map<NodeId, CodedPacket> packets;
+  for (const NodeId u : MaskToNodes(group)) {
+    packets[u] = EncodePacket(group, u, store.access(), &stats);
+  }
+  EXPECT_EQ(stats.packets_encoded, 3u);
   EXPECT_GT(stats.encode_xor_bytes, 0u);
-  DecodedSegment seg =
-      DecodePacket(group, 1, 0, packet, store.access(), &stats);
-  EXPECT_EQ(stats.packets_decoded, 1u);
-  EXPECT_EQ(stats.decoded_bytes, seg.span.length);
+  const auto value =
+      DecodeFromWire(group, 1, packets, store.access(), &stats);
+  EXPECT_EQ(stats.packets_decoded, 2u);
+  EXPECT_EQ(stats.decoded_bytes, value.size());
+  EXPECT_EQ(value.size(), store.value(1, NodesToMask({0, 2})).size());
   EXPECT_GT(stats.decode_xor_bytes, 0u);
 }
 
@@ -332,24 +361,16 @@ TEST(Codec, EncodeRejectsNonMember) {
       CheckError);
 }
 
-TEST(Codec, DecodeRejectsBadParticipants) {
+TEST(Codec, DecodeRejectsNonMember) {
   const FakeIvStore store(4, 2);
   const NodeMask group = NodesToMask({0, 1, 2});
-  const CodedPacket packet = EncodePacket(group, 0, store.access());
-  EXPECT_THROW(DecodePacket(group, 3, 0, packet, store.access()),
+  std::map<NodeId, CodedPacket> packets;
+  for (const NodeId u : MaskToNodes(group)) {
+    packets[u] = EncodePacket(group, u, store.access());
+  }
+  packets[3] = packets[0];
+  EXPECT_THROW(DecodeFromWire(group, /*k=*/3, packets, store.access()),
                CheckError);
-  EXPECT_THROW(DecodePacket(group, 1, 1, packet, store.access()),
-               CheckError);
-}
-
-TEST(Codec, DecodeDetectsCorruptedSideInformation) {
-  // If a node's local IV disagrees with what the sender used, the
-  // header length check or the padding-residue check must fire.
-  const NodeMask group = NodesToMask({0, 1, 2});
-  const FakeIvStore good(3, 2, /*seed=*/1);
-  const FakeIvStore bad(3, 2, /*seed=*/2);  // different sizes/content
-  const CodedPacket packet = EncodePacket(group, 0, good.access());
-  EXPECT_THROW(DecodePacket(group, 1, 0, packet, bad.access()), CheckError);
 }
 
 TEST(Codec, DecodeGroupChecksHeadersAndSideInformation) {
@@ -381,19 +402,48 @@ TEST(Codec, DecodeGroupChecksHeadersAndSideInformation) {
                CheckError);
 }
 
-TEST(Codec, MergeRejectsGaps) {
-  DecodedSegment a{{0, 4}, {1, 2, 3, 4}};
-  DecodedSegment b{{6, 2}, {7, 8}};  // bytes 4..6 missing
-  const std::vector<DecodedSegment> segs{a, b};
-  EXPECT_THROW(MergeSegments(segs), CheckError);
-}
+TEST(Codec, DecodeGroupChecksPayloadsBeforePlacing) {
+  const NodeMask group = NodesToMask({0, 1, 2});
+  const FakeIvStore store(3, 2);
+  std::vector<Buffer> wires(2);
+  EncodePacket(group, 1, store.access()).serialize(wires[0]);
+  EncodePacket(group, 2, store.access()).serialize(wires[1]);
+  std::vector<CodedPacketView> views;
+  for (Buffer& wire : wires) views.push_back(CodedPacketView::Parse(wire));
+  // Headers that agree on a value far longer than the payloads carry:
+  // refused before `place` could size anything to it. Node 0 is the
+  // first target of both senders.
+  std::vector<CodedPacketView> oversized = views;
+  for (CodedPacketView& v : oversized) {
+    v.iv_lengths[0] = std::uint64_t{1} << 40;
+  }
+  bool placed = false;
+  EXPECT_THROW(DecodeGroup(group, 0, oversized, store.access(),
+                           [&](std::uint64_t) {
+                             placed = true;
+                             return ValueBytes{};
+                           }),
+               CheckError);
+  EXPECT_FALSE(placed);
 
-TEST(Codec, MergeAssemblesOutOfOrder) {
-  DecodedSegment a{{4, 4}, {5, 6, 7, 8}};
-  DecodedSegment b{{0, 4}, {1, 2, 3, 4}};
-  const std::vector<DecodedSegment> segs{a, b};
-  EXPECT_EQ(MergeSegments(segs),
-            (std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+  std::vector<std::uint8_t> value;
+  const auto place = [&](std::uint64_t len) {
+    value.resize(len);
+    return ValueBytes{value, {}};
+  };
+
+  // Zero padding past the wanted segment decodes; a nonzero residue
+  // byte there is caught.
+  const std::span<const std::uint8_t> payload = views[0].payload;
+  std::vector<std::uint8_t> padded(payload.begin(), payload.end());
+  padded.push_back(0);
+  std::vector<CodedPacketView> residue = views;
+  residue[0].payload = padded;
+  EXPECT_NO_THROW(DecodeGroup(group, 0, residue, store.access(), place));
+  EXPECT_EQ(value, store.value(0, WithoutNode(group, 0)));
+  padded.back() = 0x5a;
+  EXPECT_THROW(DecodeGroup(group, 0, residue, store.access(), place),
+               CheckError);
 }
 
 TEST(Codec, EmptyIvsProduceEmptyPackets) {
@@ -414,14 +464,13 @@ TEST(Codec, EmptyIvsProduceEmptyPackets) {
     return store.at({t, file});
   };
   for (const NodeMask g : p.multicast_groups()) {
+    std::map<NodeId, CodedPacket> packets;
     for (const NodeId u : MaskToNodes(g)) {
-      const CodedPacket packet = EncodePacket(g, u, access);
-      EXPECT_TRUE(packet.payload.empty());
-      for (const NodeId k : MaskToNodes(g)) {
-        if (k == u) continue;
-        const DecodedSegment seg = DecodePacket(g, k, u, packet, access);
-        EXPECT_EQ(seg.span.length, 0u);
-      }
+      packets[u] = EncodePacket(g, u, access);
+      EXPECT_TRUE(packets[u].payload.empty());
+    }
+    for (const NodeId k : MaskToNodes(g)) {
+      EXPECT_TRUE(DecodeFromWire(g, k, packets, access).empty());
     }
   }
 }

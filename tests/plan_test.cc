@@ -241,6 +241,30 @@ TEST(PlannerTest, RejectsBadAxes) {
   query.sort_key = "vibes";
   EXPECT_FALSE(RunPlan(axes, query, cache).error.empty());
 
+  // Specs RunJob refuses (job::ValidateSpec) fail the plan rather than
+  // pricing as zero-second, zero-dollar rows.
+  axes = PlanAxes{};
+  axes.algorithms = {"terasrot"};
+  PlanResult bad = RunPlan(axes, PlanQuery{}, cache);
+  EXPECT_NE(bad.error.find("unknown algorithm 'terasrot'"), std::string::npos)
+      << bad.error;
+  EXPECT_TRUE(bad.rows.empty());
+
+  axes = PlanAxes{};
+  axes.records = 0;
+  bad = RunPlan(axes, PlanQuery{}, cache);
+  EXPECT_NE(bad.error.find("num_records must be > 0"), std::string::npos)
+      << bad.error;
+  EXPECT_TRUE(bad.rows.empty());
+
+  axes = PlanAxes{};
+  axes.algorithms = {"coded"};
+  axes.node_counts = {65};
+  axes.redundancies = {2};
+  bad = RunPlan(axes, PlanQuery{}, cache);
+  EXPECT_NE(bad.error.find("K=65 > 64"), std::string::npos) << bad.error;
+  EXPECT_TRUE(bad.rows.empty());
+
   // None of the rejected axes reached an execution.
   EXPECT_EQ(cache.executions(), 0);
 }
