@@ -262,7 +262,7 @@ void BM_TransportPingPong(benchmark::State& state) {
     while (true) {
       Buffer b = comm.recv(0, 0);
       if (b.size() == 0) break;  // empty payload = shutdown
-      comm.send(0, 1, b);
+      comm.send(0, 1, std::move(b));
     }
   });
   {
@@ -270,11 +270,11 @@ void BM_TransportPingPong(benchmark::State& state) {
     Buffer payload;
     payload.resize(bytes);
     for (auto _ : state) {
-      comm.send(1, 0, payload);
-      benchmark::DoNotOptimize(comm.recv(1, 1));
+      comm.send(1, 0, std::move(payload));
+      payload = comm.recv(1, 1);  // the echo hands the same bytes back
+      benchmark::DoNotOptimize(payload.data());
     }
-    Buffer empty;
-    comm.send(1, 0, empty);
+    comm.send(1, 0, Buffer{});
   }
   stop = true;
   echo.join();

@@ -157,7 +157,7 @@ CmrResult RunCmr(const CmrApp& app, const CmrConfig& config) {
         map_files([&](FileId f) {
           send_file_ivs(f, [&](NodeId t, simmpi::Tag tag,
                                const std::vector<std::uint8_t>& iv) {
-            (void)comm.isend(t, tag, iv);
+            (void)comm.isend(t, tag, Buffer(iv));
           });
         });
         for (auto& [f, req] : recvs) {
@@ -180,7 +180,7 @@ CmrResult RunCmr(const CmrApp& app, const CmrConfig& config) {
               if (sender == self) {
                 send_file_ivs(f, [&](NodeId t, simmpi::Tag tag,
                                      const std::vector<std::uint8_t>& iv) {
-                  comm.send(t, tag, iv);
+                  comm.send(t, tag, Buffer(iv));
                 });
               } else if (!Contains(mask, self)) {
                 Buffer payload = comm.recv(sender, kTagBase + f);
@@ -206,7 +206,7 @@ CmrResult RunCmr(const CmrApp& app, const CmrConfig& config) {
             outgoing.emplace(g, std::move(wire));
           }
           std::map<std::pair<NodeMask, NodeId>, Buffer> incoming =
-              simmpi::MulticastRound(groups, outgoing, overlapped);
+              simmpi::MulticastRound(groups, std::move(outgoing), overlapped);
           for (const auto& [g, gc] : groups) {
             std::vector<CodedPacketView> packets;
             for (const NodeId sender : MaskToNodes(WithoutNode(g, self))) {

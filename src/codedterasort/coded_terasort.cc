@@ -149,7 +149,7 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   std::map<std::pair<NodeMask, NodeId>, Buffer> incoming;
   stages.run(stage::kShuffle, [&] {
     incoming = simmpi::MulticastRound(
-        groups, outgoing,
+        groups, std::move(outgoing),
         config.shuffle_sync == ShuffleSync::kOverlapped);
   });
 
@@ -175,11 +175,6 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
           },
           &work.codec);
       value->Finish();
-      // The wire buffers are arena-backed (Comm::deliver); return the
-      // storage now that the group is decoded.
-      for (const NodeId sender : senders) {
-        BufferArena::Local().release(incoming.at({g, sender}).take());
-      }
     }
   });
 

@@ -45,7 +45,6 @@ class Buffer {
   const std::uint8_t* data() const { return bytes_.data(); }
   std::uint8_t* data() { return bytes_.data(); }
   std::span<const std::uint8_t> span() const { return bytes_; }
-  std::span<std::uint8_t> mutable_span() { return bytes_; }
 
   void reserve(std::size_t n) { bytes_.reserve(n); }
   void clear() {
@@ -65,22 +64,12 @@ class Buffer {
   void write_u32(std::uint32_t v) { write_le(v); }
   void write_u64(std::uint64_t v) { write_le(v); }
   void write_i32(std::int32_t v) { write_le(static_cast<std::uint32_t>(v)); }
-  void write_i64(std::int64_t v) { write_le(static_cast<std::uint64_t>(v)); }
-  void write_f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    write_le(bits);
-  }
 
-  // Length-prefixed string / blob.
+  // Length-prefixed string.
   void write_string(const std::string& s) {
     write_u64(s.size());
     write_bytes(std::span<const std::uint8_t>(
         reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
-  }
-  void write_blob(std::span<const std::uint8_t> b) {
-    write_u64(b.size());
-    write_bytes(b);
   }
 
   // ---- Reading (consumes from the cursor) ----
@@ -120,15 +109,6 @@ class Buffer {
   std::int32_t read_i32() {
     return static_cast<std::int32_t>(read_le<std::uint32_t>());
   }
-  std::int64_t read_i64() {
-    return static_cast<std::int64_t>(read_le<std::uint64_t>());
-  }
-  double read_f64() {
-    std::uint64_t bits = read_le<std::uint64_t>();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
 
   std::string read_string() {
     const std::size_t n = read_u64();
@@ -136,15 +116,6 @@ class Buffer {
     std::string s(reinterpret_cast<const char*>(bytes_.data() + cursor_), n);
     cursor_ += n;
     return s;
-  }
-  std::vector<std::uint8_t> read_blob() {
-    const std::size_t n = read_u64();
-    CTS_CHECK_LE(n, remaining());
-    std::vector<std::uint8_t> b(bytes_.begin() + static_cast<long>(cursor_),
-                                bytes_.begin() +
-                                    static_cast<long>(cursor_ + n));
-    cursor_ += n;
-    return b;
   }
 
   // Steals the underlying byte vector (resets the buffer).
@@ -176,59 +147,6 @@ class Buffer {
 
   std::vector<std::uint8_t> bytes_;
   std::size_t cursor_ = 0;
-};
-
-// Thread-local free list of payload byte vectors for the shuffle hot
-// path. At K~100 every message the transport moves allocates a payload
-// copy (Comm::deliver) that the receiver frees right after consuming
-// it; recycling the backing vectors removes that churn. The pool is
-// per-thread and lock-free: a node thread both sends (acquire) and
-// receives (release) in roughly equal measure during a shuffle, so the
-// pools balance without cross-thread traffic.
-class BufferArena {
- public:
-  // The calling thread's arena.
-  static BufferArena& Local() {
-    thread_local BufferArena arena;
-    return arena;
-  }
-
-  // An empty vector with capacity >= capacity_hint, reusing a pooled
-  // backing store when one is available.
-  std::vector<std::uint8_t> acquire(std::size_t capacity_hint) {
-    std::vector<std::uint8_t> v;
-    if (!pool_.empty()) {
-      v = std::move(pool_.back());
-      pool_.pop_back();
-      v.clear();
-      ++hits_;
-    } else {
-      ++misses_;
-    }
-    v.reserve(capacity_hint);
-    return v;
-  }
-
-  // Returns a backing store to the pool. Bounded in count and per-entry
-  // capacity so a burst of jumbo payloads cannot pin memory forever.
-  void release(std::vector<std::uint8_t> bytes) {
-    if (pool_.size() >= kMaxPooled || bytes.capacity() > kMaxPooledCapacity) {
-      return;  // drop: freed by the vector destructor
-    }
-    pool_.push_back(std::move(bytes));
-  }
-
-  std::size_t pooled() const { return pool_.size(); }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
- private:
-  static constexpr std::size_t kMaxPooled = 256;
-  static constexpr std::size_t kMaxPooledCapacity = std::size_t{8} << 20;
-
-  std::vector<std::vector<std::uint8_t>> pool_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace cts

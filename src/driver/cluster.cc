@@ -1,26 +1,14 @@
 #include "driver/cluster.h"
 
+#include <atomic>
 #include <exception>
 #include <thread>
 
-#include "common/buffer.h"
 #include "obs/metrics.h"
 
 namespace cts {
 
 namespace {
-
-// Node threads are spawned fresh per run, so each thread-local arena's
-// counters cover exactly this run; they are drained into the registry
-// just before the thread exits (the arena dies with it).
-void PublishArenaMetrics() {
-  auto& registry = obs::MetricRegistry::Global();
-  static obs::Counter& hits = registry.counter("simmpi/arena_hits");
-  static obs::Counter& misses = registry.counter("simmpi/arena_misses");
-  const BufferArena& arena = BufferArena::Local();
-  hits.add(arena.hits());
-  misses.add(arena.misses());
-}
 
 // Pull-at-end publication of the transport's per-stage counters: one
 // registry write per (stage, counter) after the run, nothing on the
@@ -54,6 +42,10 @@ void RunOnCluster(simmpi::World& world, RunRecorder& recorder,
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(K));
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(K));
+  // The first node to fail aborts the world, so peers blocked on it
+  // throw simmpi::Aborted instead of hanging; its exception is the
+  // root cause that gets rethrown.
+  std::atomic<NodeId> first_failed{-1};
 
   for (NodeId node = 0; node < K; ++node) {
     threads.emplace_back([&, node] {
@@ -62,13 +54,14 @@ void RunOnCluster(simmpi::World& world, RunRecorder& recorder,
         program(comm, recorder);
       } catch (...) {
         errors[static_cast<std::size_t>(node)] = std::current_exception();
+        NodeId none = -1;
+        if (first_failed.compare_exchange_strong(none, node)) world.Abort();
       }
-      PublishArenaMetrics();
     });
   }
   for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
+  if (first_failed >= 0) {
+    std::rethrow_exception(errors[static_cast<std::size_t>(first_failed)]);
   }
   PublishTrafficMetrics(world.stats());
 }

@@ -113,8 +113,10 @@ class RunRecorder {
 };
 
 // Runs `program(comm, recorder)` on one thread per node of a fresh
-// World and returns after all threads join. The first per-node
-// exception (if any) is rethrown on the calling thread.
+// World and returns after all threads join. The first node to throw
+// aborts the World, so peers blocked on it throw simmpi::Aborted
+// instead of hanging; that first exception is rethrown on the calling
+// thread.
 using NodeProgram =
     std::function<void(simmpi::Comm& world_comm, RunRecorder& recorder)>;
 

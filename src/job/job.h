@@ -115,8 +115,8 @@ struct JobResult {
   double cross_rack_bytes = 0;
 
   // Snapshot of the process-wide obs::MetricRegistry taken when the
-  // job finished: transport byte/message counters, arena hit/miss, DES
-  // flow accounting, cache hits — everything observable about how this
+  // job finished: transport byte/message counters, DES flow
+  // accounting, cache hits — everything observable about how this
   // result was produced. Cumulative across the process (a sweep's
   // N-th result includes the first N cells).
   std::map<std::string, double> metrics_snapshot;

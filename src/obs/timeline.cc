@@ -71,22 +71,13 @@ Timeline BuildLiveTimeline(const AlgorithmResult& result) {
 
   // End-of-run tick: values frozen into the cached result by
   // RunCache::Execute (run_metrics deltas). These are the quantities
-  // that would *not* be reproducible if read live — arena hit counts
-  // and stripe try_lock contention depend on thread interleaving —
-  // so the timeline only ever sees the captured copy.
-  const auto metric = [&](const char* name) -> double {
-    auto it = result.run_metrics.find(name);
-    return it == result.run_metrics.end() ? 0 : it->second;
-  };
-  const double hits = metric("simmpi/arena_hits");
-  const double misses = metric("simmpi/arena_misses");
-  const double end_tick =
-      static_cast<double>(result.stage_order.size());
-  if (hits + misses > 0) {
-    tl.Sample("live/arena_hit_rate", end_tick, hits / (hits + misses));
-  }
-  tl.Sample("live/stripe_contention", end_tick,
-            metric("simmpi/stripe_lock_contention"));
+  // that would *not* be reproducible if read live — stripe try_lock
+  // contention depends on thread interleaving — so the timeline only
+  // ever sees the captured copy.
+  const auto it = result.run_metrics.find("simmpi/stripe_lock_contention");
+  tl.Sample("live/stripe_contention",
+            static_cast<double>(result.stage_order.size()),
+            it == result.run_metrics.end() ? 0 : it->second);
 
   return tl;
 }

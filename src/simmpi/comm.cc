@@ -21,25 +21,18 @@ int Comm::rank_of_global(NodeId node) const {
   return static_cast<int>(it - members_->begin());
 }
 
-void Comm::deliver(int dst_rank, Tag tag,
-                   std::span<const std::uint8_t> payload) {
-  // Payload copies come from the thread-local arena; consumers on the
-  // shuffle hot path hand the backing store back (see
-  // terasort/coded_terasort), so steady-state shuffles stop
-  // allocating.
-  Buffer copy(BufferArena::Local().acquire(payload.size()));
-  copy.write_bytes(payload);
+void Comm::deliver(int dst_rank, Tag tag, Buffer payload) {
+  payload.rewind();  // the receiver reads from byte 0
   world_->mailbox(global(dst_rank)).deliver(id_, my_global(), tag,
-                                            std::move(copy));
+                                            std::move(payload));
 }
 
-void Comm::send(int dst_rank, Tag tag,
-                std::span<const std::uint8_t> payload) {
+void Comm::send(int dst_rank, Tag tag, Buffer payload) {
   CTS_CHECK_MSG(dst_rank != rank_, "send to self (rank " << rank_ << ")");
   CTS_CHECK_GE(tag, 0);  // negative tags are reserved for collectives
   world_->stats().record_unicast(payload.size(), my_global(),
                                  global(dst_rank));
-  deliver(dst_rank, tag, payload);
+  deliver(dst_rank, tag, std::move(payload));
 }
 
 Buffer Comm::recv(int src_rank, Tag tag) {
@@ -49,18 +42,17 @@ Buffer Comm::recv(int src_rank, Tag tag) {
   return world_->mailbox(my_global()).receive(id_, global(src_rank), tag);
 }
 
-Request Comm::isend(int dst_rank, Tag tag,
-                    std::span<const std::uint8_t> payload) {
+Request Comm::isend(int dst_rank, Tag tag, Buffer payload) {
   CTS_CHECK_GE(tag, 0);  // negative tags are reserved for collectives
   if (dst_rank != rank_) {
-    // Accounted at initiation: the eager copy below is the moment the
-    // bytes occupy the wire, so overlapped schedules measure the same
-    // loads as blocking ones.
+    // Accounted at initiation: the eager hand-off below is the moment
+    // the bytes occupy the wire, so overlapped schedules measure the
+    // same loads as blocking ones.
     world_->stats().record_unicast(payload.size(), my_global(),
                                    global(dst_rank));
   }
   // Self-sends are loopback: delivered, but never on the network.
-  deliver(dst_rank, tag, payload);
+  deliver(dst_rank, tag, std::move(payload));
   Request req;
   req.kind_ = Request::Kind::kSend;
   req.done_ = true;
@@ -110,25 +102,6 @@ Buffer Comm::wait(Request& req) {
   return std::move(req.payload_);
 }
 
-std::vector<Buffer> Comm::waitall(std::vector<Request>& reqs) {
-  std::vector<Buffer> out;
-  out.reserve(reqs.size());
-  for (Request& req : reqs) out.push_back(wait(req));
-  return out;
-}
-
-bool Comm::test(Request& req) {
-  CTS_CHECK_MSG(!req.null(), "test on a null request");
-  if (req.done_) return true;
-  auto got =
-      req.mailbox_->try_claim(req.comm_, req.src_, req.tag_, req.ticket_);
-  if (!got.has_value()) return false;
-  req.payload_ = std::move(*got);
-  req.mailbox_->retire_recv();
-  req.done_ = true;
-  return true;
-}
-
 void Comm::bcast(int root_rank, Buffer& payload) {
   CTS_CHECK_GE(root_rank, 0);
   CTS_CHECK_LT(root_rank, size());
@@ -144,58 +117,32 @@ void Comm::bcast(int root_rank, Buffer& payload) {
     }
     world_->stats().record_multicast(payload.size(), size() - 1,
                                      my_global(), recipients);
-    for (int m = 0; m < size(); ++m) {
-      if (m == rank_) continue;
-      deliver(m, kTagBcast, payload.span());
-    }
+    bcast_put(std::exchange(payload, Buffer{}));
   } else {
     payload = world_->mailbox(my_global())
                   .receive(id_, global(root_rank), kTagBcast);
   }
 }
 
-void Comm::bcast_put(const Buffer& payload) {
-  for (int m = 0; m < size(); ++m) {
-    if (m == rank_) continue;
-    deliver(m, kTagBcast, payload.span());
+void Comm::bcast_put(Buffer payload) {
+  const int last = rank_ == size() - 1 ? size() - 2 : size() - 1;
+  for (int m = 0; m < last; ++m) {
+    if (m != rank_) deliver(m, kTagBcast, payload.Clone());
   }
+  if (last >= 0) deliver(last, kTagBcast, std::move(payload));
 }
 
 void Comm::barrier() {
   if (size() == 1) return;
-  const Buffer token;
   if (rank_ == 0) {
     for (int m = 1; m < size(); ++m) {
       (void)world_->mailbox(my_global()).receive(id_, global(m), kTagBarrier);
     }
-    for (int m = 1; m < size(); ++m) deliver(m, kTagBarrier, token.span());
+    for (int m = 1; m < size(); ++m) deliver(m, kTagBarrier, Buffer{});
   } else {
-    deliver(0, kTagBarrier, token.span());
+    deliver(0, kTagBarrier, Buffer{});
     (void)world_->mailbox(my_global()).receive(id_, global(0), kTagBarrier);
   }
-}
-
-std::vector<Buffer> Comm::gather(int root_rank, const Buffer& payload) {
-  CTS_CHECK_GE(root_rank, 0);
-  CTS_CHECK_LT(root_rank, size());
-  std::vector<Buffer> out;
-  if (rank_ == root_rank) {
-    out.resize(static_cast<std::size_t>(size()));
-    out[static_cast<std::size_t>(rank_)] = payload.Clone();
-    for (int m = 0; m < size(); ++m) {
-      if (m == rank_) continue;
-      out[static_cast<std::size_t>(m)] =
-          world_->mailbox(my_global()).receive(id_, global(m), kTagGather);
-    }
-  } else {
-    deliver(root_rank, kTagGather, payload.span());
-  }
-  return out;
-}
-
-Buffer Comm::sendrecv(int peer_rank, Tag tag, const Buffer& payload) {
-  send(peer_rank, tag, payload);
-  return recv(peer_rank, tag);
 }
 
 std::vector<Buffer> Comm::allgather(const Buffer& payload) {
@@ -205,36 +152,13 @@ std::vector<Buffer> Comm::allgather(const Buffer& payload) {
   out[static_cast<std::size_t>(rank_)] = payload.Clone();
   for (int m = 0; m < size(); ++m) {
     if (m == rank_) continue;
-    send(m, kTagAllgatherUser, payload);
+    send(m, kTagAllgatherUser, payload.Clone());
   }
   for (int m = 0; m < size(); ++m) {
     if (m == rank_) continue;
     out[static_cast<std::size_t>(m)] = recv(m, kTagAllgatherUser);
   }
   return out;
-}
-
-Buffer Comm::scatter(int root_rank, std::vector<Buffer> parts) {
-  CTS_CHECK_GE(root_rank, 0);
-  CTS_CHECK_LT(root_rank, size());
-  if (rank_ == root_rank) {
-    CTS_CHECK_EQ(static_cast<int>(parts.size()), size());
-    for (int m = 0; m < size(); ++m) {
-      if (m == rank_) continue;
-      send(m, kTagScatterUser, parts[static_cast<std::size_t>(m)]);
-    }
-    return std::move(parts[static_cast<std::size_t>(rank_)]);
-  }
-  CTS_CHECK_MSG(parts.empty(), "non-root scatter callers pass no parts");
-  return recv(root_rank, kTagScatterUser);
-}
-
-std::uint64_t Comm::allreduce_sum(std::uint64_t value) {
-  Buffer mine;
-  mine.write_u64(value);
-  std::uint64_t total = 0;
-  for (Buffer& b : allgather(mine)) total += b.read_u64();
-  return total;
 }
 
 std::map<NodeMask, Comm> Comm::create_groups(
@@ -244,15 +168,14 @@ std::map<NodeMask, Comm> Comm::create_groups(
   // and membership locally. This replaces |groups| full collectives
   // with a single one — the point of the extension.
   Buffer base_msg;
+  CommId base = 0;
   if (rank_ == 0) {
-    const CommId base = world_->allocate_comm_id_block(
-        static_cast<CommId>(groups.size()));
+    base = world_->allocate_comm_id_block(static_cast<CommId>(groups.size()));
     base_msg.write_u32(base);
     world_->stats().record_comm_creation(groups.size());
   }
   bcast(0, base_msg);
-  base_msg.rewind();
-  const CommId base = base_msg.read_u32();
+  if (rank_ != 0) base = base_msg.read_u32();
 
   std::map<NodeMask, Comm> mine;
   for (std::size_t i = 0; i < groups.size(); ++i) {

@@ -9,28 +9,31 @@
 //                            the root transmits once, accounting-wise,
 //                            and every other member receives a copy)
 //   MPI_Barrier           -> Comm::barrier
+//   MPI_Allgather         -> Comm::allgather (accounted as unicasts)
 //   MPI_Comm_split        -> Comm::split (collective; color < 0 is
 //                            MPI_UNDEFINED)
-//   MPI_Gather             -> Comm::gather (control-plane, unaccounted)
 //   MPI_Isend / MPI_Irecv  -> Comm::isend / Comm::irecv (nonblocking,
-//                            returning a Request; complete with
-//                            wait / waitall / test)
+//                            returning a Request completed by wait)
+//
+// Ownership: a sent payload moves into the destination mailbox, so a
+// message costs no copy in the transport. A caller that keeps its
+// bytes sends a Clone(), which makes every copy visible where it is
+// made.
 //
 // Traffic accounting: send() records a unicast and bcast() records a
 // multicast with its fan-out into World::stats() under the current
 // stage label. Nonblocking sends account at INITIATION (isend is
 // eager-buffered, so initiation is when the bytes hit the wire) —
 // overlapped and barrier-synchronous schedules therefore measure
-// byte-identical loads. Control-plane traffic (barrier tokens, gather
-// of results/timings) is deliberately NOT accounted — the paper's
-// tables measure shuffle payloads, not MPI control overhead.
+// byte-identical loads. Control-plane traffic (barrier tokens) is
+// deliberately NOT accounted — the paper's tables measure shuffle
+// payloads, not MPI control overhead.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -43,16 +46,16 @@ namespace cts::simmpi {
 // Handle for one nonblocking operation (MPI_Request). Move-only; owned
 // by the node thread that initiated it. Send requests are born
 // complete (sends are eager-buffered); receive requests complete when
-// wait() or a successful test() matches the message. A posted receive
-// that is never completed is counted by Mailbox::pending() — and hence
-// World::pending_messages() — so abandoned requests fail the shutdown
-// hygiene checks instead of vanishing silently.
+// wait() matches the message. A posted receive that is never completed
+// is counted by Mailbox::pending() — and hence World::pending_messages()
+// — so abandoned requests fail the shutdown hygiene checks instead of
+// vanishing silently.
 class Request {
  public:
   Request() = default;
   // Moves reset the source to a null handle so a moved-from Request
   // cannot double-claim its ticket or double-retire the posted-recv
-  // counter (wait/test on it throw instead).
+  // counter (wait on it throws instead).
   Request(Request&& o) noexcept { *this = std::move(o); }
   Request& operator=(Request&& o) noexcept {
     if (this != &o) {
@@ -114,29 +117,25 @@ class Comm {
   int rank_of_global(NodeId node) const;
 
   // ---- Point-to-point (accounted as unicast) ----
-  void send(int dst_rank, Tag tag, std::span<const std::uint8_t> payload);
-  void send(int dst_rank, Tag tag, const Buffer& payload) {
-    send(dst_rank, tag, payload.span());
-  }
+  // The payload moves into the destination mailbox; the receiver reads
+  // it from byte 0 whatever the sender's cursor was.
+  void send(int dst_rank, Tag tag, Buffer payload);
   Buffer recv(int src_rank, Tag tag);
 
   // ---- Nonblocking point-to-point ----
   //
-  // isend is eager-buffered: the payload is copied into the
-  // destination mailbox and the unicast is accounted immediately (at
-  // initiation), so the returned request is already complete — exactly
-  // MPI_Isend under an eager protocol. Unlike the blocking pair,
-  // self-sends are legal (loopback; not accounted as network traffic):
-  // isend(self) + irecv(self) cannot deadlock.
-  Request isend(int dst_rank, Tag tag, std::span<const std::uint8_t> payload);
-  Request isend(int dst_rank, Tag tag, const Buffer& payload) {
-    return isend(dst_rank, tag, payload.span());
-  }
+  // isend is eager-buffered: the payload moves into the destination
+  // mailbox and the unicast is accounted immediately (at initiation),
+  // so the returned request is already complete — exactly MPI_Isend
+  // under an eager protocol. Unlike the blocking pair, self-sends are
+  // legal (loopback; not accounted as network traffic): isend(self) +
+  // irecv(self) cannot deadlock.
+  Request isend(int dst_rank, Tag tag, Buffer payload);
 
   // Posts a receive for (src_rank, tag) on this communicator. FIFO
   // matching per (source, tag, comm) is preserved: two irecvs posted
   // for the same key complete in posting order with the messages in
-  // sending order. Complete with wait / waitall / test.
+  // sending order. Complete with wait.
   Request irecv(int src_rank, Tag tag);
 
   // Posts the receive side of a bcast rooted at `root_rank` (the
@@ -151,55 +150,30 @@ class Comm {
   // callable through any Comm instance.
   static Buffer wait(Request& req);
 
-  // Waits on every request, in order; returns the messages in request
-  // order (empty Buffers for sends).
-  static std::vector<Buffer> waitall(std::vector<Request>& reqs);
-
-  // Nonblocking completion probe: returns true iff the request is
-  // complete (matching it if the message has arrived), after which
-  // wait() returns without blocking.
-  static bool test(Request& req);
-
   // ---- Collectives ----
 
   // Application-layer multicast (accounted as one multicast with
-  // fan-out size()-1). At the root, `payload` is the data to send; at
-  // other ranks it is overwritten with the received copy.
+  // fan-out size()-1). At the root, `payload` is the data to send: it
+  // is consumed (the last receiver gets the buffer itself, the others
+  // a clone) and left empty. At other ranks it is overwritten with the
+  // received message.
   void bcast(int root_rank, Buffer& payload);
 
   // Root half of a bcast with the accounting split out: delivers
-  // `payload` to every other member WITHOUT recording a multicast.
+  // `payload` to every other member WITHOUT recording a multicast
+  // (clones for all receivers but the last, which gets the buffer).
   // Callers must account the transmission themselves — the overlapped
   // multicast round prices a whole round of these through
   // TrafficStats::record_multicast_batch in one call. Receivers pair
   // it with ibcast_recv as usual.
-  void bcast_put(const Buffer& payload);
+  void bcast_put(Buffer payload);
 
   // Synchronizes all members (token to rank 0, token back).
   void barrier();
 
-  // Collects every member's payload at `root_rank`, in rank order.
-  // Returns the full vector at the root, an empty vector elsewhere.
-  // Control-plane: not accounted.
-  std::vector<Buffer> gather(int root_rank, const Buffer& payload);
-
-  // Simultaneous exchange with `peer_rank` (both sides call with the
-  // same tag). Safe against head-of-line deadlock because sends are
-  // eager-buffered, like MPI_Sendrecv. Accounted as unicast.
-  Buffer sendrecv(int peer_rank, Tag tag, const Buffer& payload);
-
   // Every member ends with every member's payload, in rank order
   // (MPI_Allgather). Data-plane: accounted as unicasts.
   std::vector<Buffer> allgather(const Buffer& payload);
-
-  // Root distributes parts[i] to rank i and returns its own part;
-  // non-roots pass an empty vector and receive theirs (MPI_Scatter).
-  // Data-plane: accounted as unicasts.
-  Buffer scatter(int root_rank, std::vector<Buffer> parts);
-
-  // Global sum of one u64 per member, known to all (MPI_Allreduce with
-  // MPI_SUM). Accounted as unicasts of 8-byte payloads.
-  std::uint64_t allreduce_sum(std::uint64_t value);
 
   // Collective split. Members calling with the same color >= 0 form a
   // new communicator ordered by (key, node id); color < 0 opts out and
@@ -221,16 +195,14 @@ class Comm {
        std::shared_ptr<const std::vector<NodeId>> members, int rank)
       : world_(world), id_(id), members_(std::move(members)), rank_(rank) {}
 
-  void deliver(int dst_rank, Tag tag, std::span<const std::uint8_t> payload);
+  void deliver(int dst_rank, Tag tag, Buffer payload);
   Request post_recv(NodeId src, Tag tag);
 
   static constexpr Tag kTagBcast = -1;
   static constexpr Tag kTagBarrier = -2;
-  static constexpr Tag kTagGather = -3;
   // Accounted collectives use high user-space tags so they never
   // collide with algorithm point-to-point tags (small non-negative).
   static constexpr Tag kTagAllgatherUser = 0x7fff0001;
-  static constexpr Tag kTagScatterUser = 0x7fff0002;
 
   class World* world_;
   CommId id_;

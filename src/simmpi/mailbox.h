@@ -3,7 +3,7 @@
 // One Mailbox per destination node. Messages are keyed by
 // (communicator id, source node, tag) and matched FIFO per key —
 // exactly MPI's non-overtaking guarantee for matching (source, tag,
-// comm) triples. send() is eager-buffered (copies the payload into the
+// comm) triples. send() is eager-buffered (moves the payload into the
 // destination mailbox and returns), which matches MPI_Send semantics
 // for the message sizes the simulator moves.
 //
@@ -12,14 +12,17 @@
 // next free slot in the key's match sequence, and the ticket claims
 // the message with the same arrival index. Two irecvs posted for one
 // key therefore complete with the first and second message sent on
-// that key no matter which is waited first. try_claim (a non-waiting
-// probe) backs Comm::test.
+// that key no matter which is waited first.
 //
 // Posted-receive tracking: every posted irecv increments a counter
-// that only its completing wait/test decrements, so a receive that is
+// that only its completing wait decrements, so a receive that is
 // posted but never matched shows up in pending() — and hence in
 // World::pending_messages() — at shutdown, exactly like a leaked
 // message would.
+//
+// abort() fails the run: every claim blocked on this mailbox, and
+// every later one, throws Aborted instead of waiting for a message
+// that a failed sender will never deliver.
 #pragma once
 
 #include <atomic>
@@ -27,7 +30,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
+#include <stdexcept>
 #include <tuple>
 
 #include "common/buffer.h"
@@ -38,6 +41,13 @@ namespace cts::simmpi {
 
 using CommId = std::uint32_t;
 using Tag = std::int32_t;
+
+// Thrown by a blocking transport call once the World was aborted
+// because some node failed; the failure itself is the root cause.
+class Aborted : public std::runtime_error {
+ public:
+  Aborted() : std::runtime_error("simmpi: world aborted by a failed node") {}
+};
 
 class Mailbox {
  public:
@@ -60,7 +70,7 @@ class Mailbox {
   }
 
   // Reserves the next match slot of the key (the posting half of an
-  // irecv). The returned ticket is redeemed with claim / try_claim.
+  // irecv). The returned ticket is redeemed with claim.
   std::uint64_t post(CommId comm, NodeId src, Tag tag) {
     std::lock_guard lock(mu_);
     posted_recvs_.fetch_add(1, std::memory_order_relaxed);
@@ -70,30 +80,17 @@ class Mailbox {
   }
 
   // Blocks until the message with arrival index `ticket` on the key
-  // is present, then removes and returns it.
+  // is present, then removes and returns it. Throws Aborted once the
+  // mailbox is aborted.
   Buffer claim(CommId comm, NodeId src, Tag tag, std::uint64_t ticket) {
     std::unique_lock lock(mu_);
     const Key key{comm, src, tag};
     cv_.wait(lock, [&] {
+      if (aborted_) return true;
       const auto it = keys_.find(key);
       return it != keys_.end() && it->second.msgs.contains(ticket);
     });
-    Buffer payload = take(key, ticket);
-    record(TransportEventKind::kMatch, owner_, src, comm, tag, ticket,
-           payload.size());
-    return payload;
-  }
-
-  // Non-waiting claim: removes and returns the ticket's message if it
-  // has already arrived, nullopt otherwise.
-  std::optional<Buffer> try_claim(CommId comm, NodeId src, Tag tag,
-                                  std::uint64_t ticket) {
-    std::lock_guard lock(mu_);
-    const Key key{comm, src, tag};
-    const auto it = keys_.find(key);
-    if (it == keys_.end() || !it->second.msgs.contains(ticket)) {
-      return std::nullopt;
-    }
+    if (aborted_) throw Aborted();
     Buffer payload = take(key, ticket);
     record(TransportEventKind::kMatch, owner_, src, comm, tag, ticket,
            payload.size());
@@ -111,7 +108,17 @@ class Mailbox {
     return claim(comm, src, tag, ticket);
   }
 
-  // Retires a posted receive once its wait/test completed it. An
+  // Wakes every blocked claim and makes it, and every later one,
+  // throw Aborted.
+  void abort() {
+    {
+      std::lock_guard lock(mu_);
+      aborted_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  // Retires a posted receive once its wait completed it. An
   // abandoned request is deliberately never retired so leak checks
   // see it.
   void retire_recv() {
@@ -180,6 +187,7 @@ class Mailbox {
   std::condition_variable cv_;
   std::map<Key, KeyState> keys_;
   std::atomic<std::size_t> posted_recvs_{0};
+  bool aborted_ = false;  // guarded by mu_
 };
 
 }  // namespace cts::simmpi

@@ -17,7 +17,8 @@ namespace cts::simmpi {
 
 // Runs the round for the calling node. `groups` holds the group
 // communicators this node belongs to, keyed by node mask; outgoing[g]
-// is the packet it broadcasts in group g. Returns the packets
+// is the packet it broadcasts in group g, handed over to the transport
+// (each receiver but the last gets a clone). Returns the packets
 // received, keyed by (group, sender node).
 //
 // Serial (overlapped = false): groups in ascending-mask order — which
@@ -32,7 +33,7 @@ namespace cts::simmpi {
 // per-sender seq order as per-bcast accounting; one lock instead of
 // C(K-1, r) per node).
 inline std::map<std::pair<NodeMask, NodeId>, Buffer> MulticastRound(
-    std::map<NodeMask, Comm>& groups, std::map<NodeMask, Buffer>& outgoing,
+    std::map<NodeMask, Comm>& groups, std::map<NodeMask, Buffer> outgoing,
     bool overlapped) {
   std::map<std::pair<NodeMask, NodeId>, Buffer> incoming;
   if (overlapped) {
@@ -62,7 +63,7 @@ inline std::map<std::pair<NodeMask, NodeId>, Buffer> MulticastRound(
     }
     for (auto& [g, gc] : groups) {
       if (gc.size() <= 1) continue;
-      gc.bcast_put(outgoing.at(g));
+      gc.bcast_put(std::move(outgoing.at(g)));
     }
     for (auto& [key, req] : recvs) incoming.emplace(key, Comm::wait(req));
   } else {

@@ -13,8 +13,22 @@ std::shared_ptr<World::SplitState> World::split_state(CommId comm,
   if (!slot) {
     slot = std::make_shared<SplitState>();
     slot->readers_left = expected;
+    slot->aborted = aborted_;
   }
   return slot;
+}
+
+void World::Abort() {
+  for (auto& mb : mailboxes_) mb->abort();
+  std::lock_guard lock(split_mu_);
+  aborted_ = true;
+  for (auto& [key, state] : splits_) {
+    {
+      std::lock_guard state_lock(state->mu);
+      state->aborted = true;
+    }
+    state->cv.notify_all();
+  }
 }
 
 void World::retire_split_state(CommId comm, std::uint64_t epoch) {
@@ -58,7 +72,8 @@ std::optional<SplitResult> World::split_rendezvous(CommId comm,
     state->done = true;
     state->cv.notify_all();
   } else {
-    state->cv.wait(lock, [&] { return state->done; });
+    state->cv.wait(lock, [&] { return state->done || state->aborted; });
+    if (!state->done) throw Aborted();
   }
 
   std::optional<SplitResult> my_result;

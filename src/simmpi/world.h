@@ -57,6 +57,11 @@ class World {
     return *mailboxes_[static_cast<std::size_t>(node)];
   }
 
+  // Fails the run after a node threw: every receive, wait or split
+  // that is blocked now or blocks later throws Aborted, so no peer
+  // waits forever for a message the failed node will never send.
+  void Abort();
+
   // Messages still queued anywhere (should be 0 after clean shutdown).
   std::size_t pending_messages() const {
     std::size_t n = 0;
@@ -78,7 +83,8 @@ class World {
   // entries by color, orders each group by (key, node), and allocates
   // one fresh CommId per color in ascending color order (so ids are
   // deterministic). color < 0 means "not in any group" (MPI_UNDEFINED)
-  // and yields nullopt.
+  // and yields nullopt. Throws Aborted if the world is aborted before
+  // the last member arrives.
   std::optional<SplitResult> split_rendezvous(CommId comm,
                                               std::uint64_t epoch,
                                               int expected, NodeId node,
@@ -108,6 +114,7 @@ class World {
     std::condition_variable cv;
     std::vector<SplitEntry> entries;
     bool done = false;
+    bool aborted = false;
     int readers_left = 0;
     std::map<NodeId, SplitResult> results;  // only colored participants
   };
@@ -127,6 +134,7 @@ class World {
   std::mutex split_mu_;
   std::map<std::pair<CommId, std::uint64_t>, std::shared_ptr<SplitState>>
       splits_;
+  bool aborted_ = false;  // guarded by split_mu_
   std::atomic<CommId> next_comm_id_{1};
 };
 

@@ -92,7 +92,8 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
       }
       for (int j = 0; j < K; ++j) {
         if (j == self) continue;
-        (void)comm.isend(j, kTagShuffle, packed[static_cast<std::size_t>(j)]);
+        (void)comm.isend(j, kTagShuffle,
+                         std::move(packed[static_cast<std::size_t>(j)]));
       }
       std::size_t i = 0;
       for (int sender = 0; sender < K; ++sender) {
@@ -105,7 +106,8 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
       if (sender == self) {
         for (int j = 0; j < K; ++j) {
           if (j == self) continue;
-          comm.send(j, kTagShuffle, packed[static_cast<std::size_t>(j)]);
+          comm.send(j, kTagShuffle,
+                    std::move(packed[static_cast<std::size_t>(j)]));
         }
       } else {
         received[static_cast<std::size_t>(sender)] =
@@ -127,9 +129,7 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
       auto& buf = received[static_cast<std::size_t>(sender)];
       work.unpack_bytes += buf.size();
       UnpackRecordsInto(buf, pool);
-      // Shuffle payloads are arena-backed (Comm::deliver); hand the
-      // storage back now that the records are unpacked.
-      BufferArena::Local().release(buf.take());
+      buf = {};  // the records now live in the pool
     }
   });
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 
 #include "common/check.h"
 #include "driver/cluster.h"
@@ -37,6 +38,25 @@ TEST(Cluster, RethrowsNodeFailure) {
       CheckError);
 }
 
+// A node that throws before it sends must not hang the peers waiting
+// on it: RunOnCluster aborts the World, the blocked receives throw
+// simmpi::Aborted, and the failed node's own exception is rethrown.
+TEST(Cluster, NodeFailureAbortsBlockedPeers) {
+  simmpi::World world(3);
+  RunRecorder recorder(3);
+  try {
+    RunOnCluster(world, recorder, [&](simmpi::Comm& comm, RunRecorder&) {
+      CTS_CHECK_MSG(comm.rank() != 0, "injected failure before send");
+      (void)comm.recv(0, 0);
+    });
+    FAIL() << "RunOnCluster returned normally";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("injected failure before send"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Cluster, StageRunnerLabelsTrafficPerStage) {
   simmpi::World world(2);
   RunRecorder recorder(2);
@@ -46,15 +66,15 @@ TEST(Cluster, StageRunnerLabelsTrafficPerStage) {
     b.resize(64);
     stages.run("first", [&] {
       if (comm.rank() == 0) {
-        comm.send(1, 0, b);
+        comm.send(1, 0, b.Clone());
       } else {
         (void)comm.recv(0, 0);
       }
     });
     stages.run("second", [&] {
       if (comm.rank() == 1) {
-        comm.send(0, 0, b);
-        comm.send(0, 1, b);
+        comm.send(0, 0, b.Clone());
+        comm.send(0, 1, b.Clone());
       } else {
         (void)comm.recv(1, 0);
         (void)comm.recv(1, 1);

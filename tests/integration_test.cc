@@ -96,8 +96,9 @@ TEST(CreateGroups, MatchesSplitSemantics) {
       Buffer payload;
       if (gc.rank() == 0) payload.write_u32(mask);
       gc.bcast(0, payload);
-      payload.rewind();
-      EXPECT_EQ(payload.read_u32(), mask);
+      if (gc.rank() != 0) {
+        EXPECT_EQ(payload.read_u32(), mask);
+      }
     }
   });
   EXPECT_EQ(world.pending_messages(), 0u);

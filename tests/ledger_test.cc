@@ -117,7 +117,7 @@ TEST(Ledger, AppendAndReadBack) {
 TEST(Ledger, DigestTimelineFillsSeriesDigests) {
   Timeline tl;
   tl.Sample("des/inflight_flows", 0, 1);
-  tl.Sample("live/arena_hit_rate", 0, 0.5);
+  tl.Sample("live/stripe_contention", 0, 0.5);
   LedgerEntry e;
   DigestTimeline(tl, e);
   ASSERT_EQ(e.timeline.size(), 2u);

@@ -2,7 +2,7 @@
 // K = 32 mask cap.
 //
 //  * Plain TeraSort executes end-to-end at K = 100 (mask-free split,
-//    sharded TrafficStats, arena-backed shuffle payloads) and leaks no
+//    sharded TrafficStats, ownership-passing shuffle payloads) and leaks no
 //    mailbox state.
 //  * The sharded transport keeps exact counters and a valid merged
 //    transmission log under many nodes x many keys of contention
@@ -91,7 +91,7 @@ TEST(ScaleOut, ShardedTransportKeepsExactCountsUnderContention) {
           b.write_i32(n);
           b.write_i32(dst);
           b.write_i32(round);
-          (void)c.isend(dst, round, b);
+          (void)c.isend(dst, round, std::move(b));
         }
         std::size_t i = 0;
         for (int src = 0; src < K; ++src) {

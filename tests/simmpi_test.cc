@@ -102,7 +102,7 @@ TEST(Comm, SendRecvMovesPayload) {
     if (n == 0) {
       Buffer b;
       b.write_u32(0xfeedu);
-      c.send(1, 3, b);
+      c.send(1, 3, std::move(b));
     } else {
       Buffer got = c.recv(0, 3);
       EXPECT_EQ(got.read_u32(), 0xfeedu);
@@ -114,16 +114,14 @@ TEST(Comm, SendRecvMovesPayload) {
 TEST(Comm, SendToSelfIsAnError) {
   World world(2);
   Comm c = Comm::World(world, 0);
-  Buffer b;
-  EXPECT_THROW(c.send(0, 1, b), CheckError);
+  EXPECT_THROW(c.send(0, 1, Buffer{}), CheckError);
   EXPECT_THROW((void)c.recv(0, 1), CheckError);
 }
 
 TEST(Comm, NegativeUserTagRejected) {
   World world(2);
   Comm c = Comm::World(world, 0);
-  Buffer b;
-  EXPECT_THROW(c.send(1, -1, b), CheckError);
+  EXPECT_THROW(c.send(1, -1, Buffer{}), CheckError);
 }
 
 TEST(Comm, ManyToOneOrderedPerSource) {
@@ -142,8 +140,8 @@ TEST(Comm, ManyToOneOrderedPerSource) {
       Buffer b1, b2;
       b1.write_i32(n * 10);
       b2.write_i32(n * 10 + 1);
-      c.send(0, 1, b1);
-      c.send(0, 1, b2);
+      c.send(0, 1, std::move(b1));
+      c.send(0, 1, std::move(b2));
     }
   });
 }
@@ -156,8 +154,11 @@ TEST(Comm, BcastDeliversToAll) {
     Buffer payload;
     if (n == 2) payload.write_u64(777);
     c.bcast(2, payload);
-    payload.rewind();
-    EXPECT_EQ(payload.read_u64(), 777u);
+    if (n == 2) {
+      EXPECT_TRUE(payload.empty());  // the root's payload is consumed
+    } else {
+      EXPECT_EQ(payload.read_u64(), 777u);
+    }
   });
 }
 
@@ -185,26 +186,6 @@ TEST(Comm, BarrierSynchronizes) {
   EXPECT_FALSE(violated.load());
 }
 
-TEST(Comm, GatherCollectsInRankOrder) {
-  constexpr int K = 4;
-  World world(K);
-  RunNodes(world, [&](NodeId n) {
-    Comm c = Comm::World(world, n);
-    Buffer mine;
-    mine.write_i32(n * n);
-    const auto all = c.gather(1, mine);
-    if (n == 1) {
-      ASSERT_EQ(all.size(), 4u);
-      for (int i = 0; i < K; ++i) {
-        Buffer copy = all[static_cast<std::size_t>(i)].Clone();
-        EXPECT_EQ(copy.read_i32(), i * i);
-      }
-    } else {
-      EXPECT_TRUE(all.empty());
-    }
-  });
-}
-
 TEST(Comm, SplitFormsColorGroups) {
   constexpr int K = 6;
   World world(K);
@@ -222,8 +203,9 @@ TEST(Comm, SplitFormsColorGroups) {
     Buffer payload;
     if (sub->rank() == 0) payload.write_i32(n % 2);
     sub->bcast(0, payload);
-    payload.rewind();
-    EXPECT_EQ(payload.read_i32(), n % 2);
+    if (sub->rank() != 0) {
+      EXPECT_EQ(payload.read_i32(), n % 2);
+    }
   });
 }
 
@@ -264,8 +246,9 @@ TEST(Comm, RepeatedSplitsAreIndependent) {
       Buffer token;
       if (sub->rank() == 0) token.write_i32(round);
       sub->bcast(0, token);
-      token.rewind();
-      EXPECT_EQ(token.read_i32(), round);
+      if (sub->rank() != 0) {
+        EXPECT_EQ(token.read_i32(), round);
+      }
     }
   });
 }
@@ -283,6 +266,107 @@ TEST(Comm, NestedSplitOfSubgroup) {
   });
 }
 
+// ---- Ownership: payloads move from sender to receiver ----
+
+TEST(Ownership, SendMovesTheSendersBytes) {
+  World world(2);
+  Comm sender = Comm::World(world, 0);
+  Comm receiver = Comm::World(world, 1);
+  Buffer b;
+  b.resize(4096);
+  const std::uint8_t* bytes = b.data();
+  sender.send(1, 0, std::move(b));  // eager: returns before the recv
+  const Buffer got = receiver.recv(0, 0);
+  EXPECT_EQ(got.size(), 4096u);
+  EXPECT_EQ(got.data(), bytes);  // no copy on the way
+  EXPECT_EQ(world.stats().total().unicast_bytes, 4096u);
+}
+
+TEST(Ownership, ReceiverReadsFromByteZero) {
+  World world(2);
+  Comm sender = Comm::World(world, 0);
+  Comm receiver = Comm::World(world, 1);
+  Buffer b;
+  b.write_u32(11);
+  b.write_u32(22);
+  EXPECT_EQ(b.read_u32(), 11u);  // the sender's cursor moves past it
+  sender.send(1, 0, std::move(b));
+  Buffer got = receiver.recv(0, 0);
+  EXPECT_EQ(got.cursor(), 0u);
+  EXPECT_EQ(got.read_u32(), 11u);
+  EXPECT_EQ(got.read_u32(), 22u);
+}
+
+// The last receiver gets the root's buffer itself, the others clones:
+// every receiver owns independent bytes, and the root's are consumed.
+TEST(Ownership, BcastReceiversGetIndependentBuffers) {
+  constexpr int K = 4;
+  World world(K);
+  world.stats().set_stage("Shuffle");
+  Buffer payload;
+  for (std::uint8_t i = 0; i < 16; ++i) payload.write_u8(i);
+  payload.seek(5);
+  const std::uint8_t* root_bytes = payload.data();
+  Comm root = Comm::World(world, 1);
+  root.bcast(1, payload);  // eager: delivers before any receiver waits
+  EXPECT_TRUE(payload.empty());
+  EXPECT_EQ(payload.remaining(), 0u);
+
+  std::vector<Buffer> got;
+  for (NodeId n : {0, 2, 3}) {
+    Comm c = Comm::World(world, n);
+    Buffer b;
+    c.bcast(1, b);
+    EXPECT_EQ(b.size(), 16u);
+    EXPECT_EQ(b.cursor(), 0u);
+    got.push_back(std::move(b));
+  }
+  EXPECT_NE(got[0].data(), got[1].data());
+  EXPECT_EQ(got[2].data(), root_bytes);  // the last receiver: moved
+  got[0].data()[0] = 0xff;
+  EXPECT_EQ(got[1].data()[0], 0u);
+  EXPECT_EQ(got[2].data()[0], 0u);
+  const auto s = world.stats().stage("Shuffle");
+  EXPECT_EQ(s.mcast_msgs, 1u);
+  EXPECT_EQ(s.mcast_bytes, 16u);
+  EXPECT_EQ(s.mcast_recipient_bytes, 16u * (K - 1));
+  EXPECT_EQ(world.pending_messages(), 0u);
+}
+
+// ---- World::Abort: a failed node does not hang its peers ----
+
+TEST(Abort, WakesBlockedReceivesAndSplits) {
+  constexpr int K = 3;
+  World world(K);
+  std::atomic<int> aborted{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    Comm c = Comm::World(world, 1);
+    try {
+      (void)c.recv(0, 0);  // node 0 never sends
+    } catch (const Aborted&) {
+      ++aborted;
+    }
+  });
+  threads.emplace_back([&] {
+    Comm c = Comm::World(world, 2);
+    try {
+      (void)c.split(0, 0);  // node 0 never joins
+    } catch (const Aborted&) {
+      ++aborted;
+    }
+  });
+  world.Abort();
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(aborted.load(), 2);
+  // Calls made after the abort throw instead of blocking.
+  Comm c = Comm::World(world, 0);
+  EXPECT_THROW((void)c.recv(1, 0), Aborted);
+  Request req = c.irecv(2, 0);
+  EXPECT_THROW((void)Comm::wait(req), Aborted);
+  EXPECT_THROW((void)c.split(1, 0), Aborted);
+}
+
 TEST(Traffic, SendRecordsUnicastUnderCurrentStage) {
   World world(2);
   world.stats().set_stage("Shuffle");
@@ -291,7 +375,7 @@ TEST(Traffic, SendRecordsUnicastUnderCurrentStage) {
     if (n == 0) {
       Buffer b;
       b.resize(1000);
-      c.send(1, 1, b);
+      c.send(1, 1, std::move(b));
     } else {
       (void)c.recv(0, 1);
     }
@@ -321,16 +405,13 @@ TEST(Traffic, BcastRecordsOneMulticastWithFanout) {
   EXPECT_EQ(s.transmitted_bytes(), 600u);
 }
 
-TEST(Traffic, BarrierAndGatherAreUnaccounted) {
+TEST(Traffic, BarrierIsUnaccounted) {
   constexpr int K = 4;
   World world(K);
   world.stats().set_stage("ControlOnly");
   RunNodes(world, [&](NodeId n) {
     Comm c = Comm::World(world, n);
     c.barrier();
-    Buffer b;
-    b.resize(100);
-    (void)c.gather(0, b);
     c.barrier();
   });
   const auto s = world.stats().stage("ControlOnly");
@@ -359,7 +440,7 @@ TEST(Traffic, StagesAccumulateIndependently) {
     world.stats().set_stage("A");
     c.barrier();
     if (n == 0) {
-      c.send(1, 1, b);
+      c.send(1, 1, b.Clone());
     } else {
       (void)c.recv(0, 1);
     }
@@ -367,8 +448,8 @@ TEST(Traffic, StagesAccumulateIndependently) {
     world.stats().set_stage("B");
     c.barrier();
     if (n == 1) {
-      c.send(0, 1, b);
-      c.send(0, 2, b);
+      c.send(0, 1, b.Clone());
+      c.send(0, 2, std::move(b));
     } else {
       (void)c.recv(1, 1);
       (void)c.recv(1, 2);
@@ -404,7 +485,7 @@ TEST(Stress, AllToAllExchange) {
         b.write_i32(n);
         b.write_i32(dst);
         b.write_i32(round);
-        c.send(dst, round, b);
+        c.send(dst, round, std::move(b));
       }
       for (int src = 0; src < K; ++src) {
         if (src == n) continue;

@@ -210,7 +210,7 @@ TEST(Trace, CounterExportRoundTrips) {
   Timeline tl;
   tl.Sample("des/inflight_flows", 0, 1);
   tl.Sample("des/inflight_flows", 0.25, 3);
-  tl.Sample("live/arena_hit_rate", 0.5, 0.75);
+  tl.Sample("live/stripe_contention", 0.5, 0.75);
 
   Trace trace;
   AppendTimelineCounters(tl, trace, /*pid=*/0, /*tid=*/5);
